@@ -476,7 +476,7 @@ def _suite_factorization(cfg: ExperimentConfig) -> tuple[bool, str]:
                 ),
             )
             count += 1
-    return worst <= 1e-10, f"max residual {worst:.3e} over {count} draws"
+    return bool(worst <= 1e-10), f"max residual {worst:.3e} over {count} draws"
 
 
 def _suite_kappa(cfg: ExperimentConfig) -> tuple[bool, str]:

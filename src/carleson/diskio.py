@@ -67,9 +67,10 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="ascii"
-    )
+    """Sorted, indented JSON; numpy scalars are written as the Python
+    values they hold."""
+    text = json.dumps(obj, sort_keys=True, indent=2, default=np.generic.item)
+    Path(path).write_text(text + "\n", encoding="ascii")
 
 
 # ==================== binary layouts ====================

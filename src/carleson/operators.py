@@ -3,17 +3,20 @@ the maximal (supremum over modulation) operator, TT* kernels and their
 Schur bounds, and the small numerical inequalities used to control
 maxima over modulation grids.
 
-Convolutions are exact: the input box and the kernel ball are zero-
-padded to a power of two at least the width of their sum, so the cyclic
-transform equals the linear convolution coefficient-for-coefficient.
-The supremum over the modulation parameter runs over an explicit grid
-in [0,1) (integer phase weights make every symbol 1-periodic), and the
-grid coarseness is accounted for by a reported modulus-of-continuity
-bound instead of being silently ignored.
+Single-scale convolutions are exact: the input box and the kernel ball
+are zero-padded to a power of two at least the width of their sum, so
+the cyclic transform equals the linear convolution coefficient for
+coefficient.  The supremum over the modulation parameter runs over the
+uniform grid i/M in [0,1) (integer phase weights make every symbol
+1-periodic).  On it the phase of a kernel point depends only on the
+exact residue |y|^(2d) mod M, so the maximal operator scatters f x K
+pairs into per-site residue-class sums and takes one length-M transform
+per site instead of one convolution per grid value.  Grid coarseness is
+accounted for by a reported modulus-of-continuity bound instead of being
+silently ignored.
 
-Maximum reductions scan the grid in index order and keep the first
-attaining index, so results are reproducible and independent of any
-worker-pool layout.
+Maximum reductions keep the first attaining grid index, so results are
+reproducible and independent of any worker-pool layout.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -141,58 +144,33 @@ def random_function(n: int, radius: int, seed_key) -> LatticeFunction:
 
 @dataclass(frozen=True)
 class LambdaGrid:
-    """Finite modulation grid inside [0,1).
+    """The uniform modulation grid i/M, i = 0..M-1, inside [0,1); its
+    spacing 1/M drives the sup-approximation error bound."""
 
-    values are sorted and deduplicated; spacing is the largest circular
-    gap, which drives the sup-approximation error bound.
-    """
-
-    values: tuple[float, ...]
+    M: int
 
     def __post_init__(self):
-        if not self.values:
-            raise ValueError("grid must contain at least one value")
-        if any(not 0.0 <= v < 1.0 for v in self.values):
-            raise ValueError("grid values must lie in [0, 1)")
-        if list(self.values) != sorted(set(self.values)):
-            raise ValueError("grid values must be sorted and distinct")
+        if not isinstance(self.M, (int, np.integer)) or self.M < 1:
+            raise ValueError(f"M must be an integer >= 1, got {self.M!r}")
 
     @classmethod
     def uniform(cls, M: int) -> "LambdaGrid":
-        if M < 1:
-            raise ValueError(f"M must be >= 1, got {M}")
-        return cls(tuple(i / M for i in range(M)))
+        return cls(M)
 
     def refined(self, factor: int) -> "LambdaGrid":
-        """Uniform refinement keeping every existing point (each value
-        i/M reappears as i*factor/(M*factor)), so suprema never drop."""
+        """The grid with M*factor points; it keeps every existing point
+        (i/M reappears as i*factor/(M*factor)), so suprema never drop."""
         if factor < 1:
             raise ValueError(f"factor must be >= 1, got {factor}")
-        extra = []
-        vals = list(self.values) + [1.0]
-        for lo, hi in zip(vals[:-1], vals[1:]):
-            extra.extend(
-                lo + (hi - lo) * t / factor for t in range(1, factor)
-            )
-        merged = sorted(set(self.values) | set(extra))
-        return LambdaGrid(tuple(merged))
-
-    def with_extra(self, points: Iterable[float]) -> "LambdaGrid":
-        merged = sorted(set(self.values) | {p % 1.0 for p in points})
-        return LambdaGrid(tuple(merged))
+        return LambdaGrid(self.M * factor)
 
     @property
-    def M(self) -> int:
-        return len(self.values)
+    def values(self) -> tuple[float, ...]:
+        return tuple(i / self.M for i in range(self.M))
 
     @property
     def spacing(self) -> float:
-        if len(self.values) == 1:
-            return 1.0
-        arr = np.asarray(self.values)
-        gaps = np.diff(arr)
-        wrap = 1.0 - arr[-1] + arr[0]
-        return float(max(gaps.max(), wrap))
+        return 1.0 / self.M
 
 
 # ==================== single-scale application ====================
@@ -244,6 +222,9 @@ def apply_mj(
 
 # ==================== the maximal operator ====================
 
+# Bytes of class sums G[site, class] carleson_apply holds at once.
+_CLASS_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class CarlesonResult:
@@ -269,64 +250,67 @@ def carleson_apply(
     J: int,
     grid: LambdaGrid,
     budget: int = DEFAULT_LATTICE_BUDGET,
-    chunk: int = 64,
 ) -> CarlesonResult:
     """Maximal modulated convolution against the cumulative kernel
-    sum_{j<=J} K_j, maximized over the modulation grid.
+    sum_{j<=J} K_j, maximized over the uniform grid lam = i/M.
 
-    The per-lambda modulated kernels share one cumulative lattice (the
-    modulation e(lam |y|^(2d)) factors out of the j-sum), so each grid
-    value costs one padded transform.  Scanning is in grid order with
-    first-index ties, independent of chunk size.
+    On that grid e(lam |y|^(2d)) depends only on the exact residue
+    r = |y|^(2d) mod M, so the values at one site x over the whole grid
+    are the length-M inverse DFT of the class sums
+    G(x, r) = sum_{|y|^(2d) = r mod M} f(x-y) K(y).  Sites are taken in
+    runs whose class-sum block stays under _CLASS_BLOCK_BYTES (at least
+    one site per run); ties go to the first grid index.
     """
     if fam.n != f.n:
         raise ValueError(f"function dimension {f.n} != kernel n {fam.n}")
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
+    M = grid.M
     pts, vals, nvals = cumulative_lattice_arrays(fam, J, budget)
     radius = int(np.abs(pts).max()) if len(pts) else 0
     out_half = tuple(h + radius for h in f.halfwidth)
     widths = tuple(2 * h + 1 for h in out_half)
-    shape = _fft_shape(widths)
-    fpad = np.zeros(shape, dtype=np.complex128)
-    fpad[tuple(slice(0, s) for s in f.values.shape)] = f.values
-    fhat = np.fft.fftn(fpad)
-    crop = tuple(slice(0, w) for w in widths)
-
-    kshape = (2 * radius + 1,) * fam.n
-    kidx = tuple(pts[:, k] + radius for k in range(fam.n))
-    best = np.full(widths, -1.0, dtype=np.float64)
-    best_idx = np.zeros(widths, dtype=np.int64)
-    lam_values = grid.values
-    for start in range(0, len(lam_values), max(1, chunk)):
-        block = lam_values[start : start + max(1, chunk)]
-        kpad = np.zeros((len(block),) + shape, dtype=np.complex128)
-        for row, lam in enumerate(block):
-            kbox = np.zeros(kshape, dtype=np.complex128)
-            kbox[kidx] = vals * np.exp(
-                2j * np.pi * frac_mul(float(lam) % 1.0, nvals)
-            )
-            kpad[row][tuple(slice(0, s) for s in kshape)] = kbox
-        axes = tuple(range(1, fam.n + 1))
-        ghat = np.fft.fftn(kpad, axes=axes)
-        ghat *= fhat[np.newaxis]
-        gval = np.fft.ifftn(ghat, axes=axes)
-        for row in range(len(block)):
-            mag = np.abs(gval[row][crop])
-            mask = mag > best
-            best[mask] = mag[mask]
-            best_idx[mask] = start + row
+    # f box index u plus kernel box index y + radius is the output box
+    # index, so flat positions in output strides add: site = fpos + kpos.
+    # key = position * M + class orders the kernel points by position.
+    strides = np.cumprod((1,) + widths[:0:-1])[::-1]
+    kpos = (pts + radius) @ strides
+    order = np.argsort(kpos)
+    kval = vals[order]
+    kkey = kpos[order] * M + nvals[order] % M
+    fidx = np.argwhere(f.values != 0)
+    fkey = fidx @ strides * M
+    fval = f.values[tuple(fidx.T)]
+    sites = int(np.prod(widths))
+    step = max(1, _CLASS_BLOCK_BYTES // (16 * M))
+    best = np.empty(sites, dtype=np.float64)
+    best_idx = np.empty(sites, dtype=np.int64)
+    for s0 in range(0, sites, step):
+        s1 = min(s0 + step, sites)
+        # per f point, the run of kernel points whose site is in [s0, s1)
+        lo = np.searchsorted(kkey, s0 * M - fkey)
+        count = np.searchsorted(kkey, s1 * M - fkey) - lo
+        start = np.cumsum(count) - count
+        k = np.arange(count.sum()) + np.repeat(lo - start, count)
+        slot = np.repeat(fkey - s0 * M, count) + kkey[k]
+        w = np.repeat(fval, count) * kval[k]
+        G = np.empty((s1 - s0, M), dtype=np.complex128)
+        G.real[...] = np.bincount(slot, w.real, G.size).reshape(G.shape)
+        G.imag[...] = np.bincount(slot, w.imag, G.size).reshape(G.shape)
+        mag = np.abs(np.fft.ifftn(G, axes=(1,), norm="forward"))
+        best_idx[s0:s1] = mag.argmax(axis=1)
+        best[s0:s1] = mag[np.arange(s1 - s0), best_idx[s0:s1]]
     weighted = float(
         np.sum(np.abs(vals) * nvals.astype(np.float64))
     )
     bound = 2.0 * math.pi * weighted * f.norm_inf() * grid.spacing / 2.0
+    best_idx = best_idx.reshape(widths)
     cf = LatticeFunction(
-        f.n, f.center, out_half, best.astype(np.complex128)
+        f.n, f.center, out_half, best.reshape(widths).astype(np.complex128)
     )
-    argmax_lambda = np.asarray(lam_values, dtype=np.float64)[best_idx]
     return CarlesonResult(
         cf=cf,
-        argmax_lambda=argmax_lambda,
+        argmax_lambda=best_idx / M,
         argmax_index=best_idx,
         grid_error_bound=bound,
         J=J,
@@ -348,10 +332,20 @@ def norm_ratio_stats(
     Trial 0 is the point mass (its ratio equals ||sum_{j<=J} K_j||_2
     exactly: modulation factors have unit modulus).  Trials 1.. draw
     complex normals on [-radius, radius]^n from per-trial seed streams,
-    so the table is reproducible for any worker count.
+    so the table is reproducible for any worker count.  The output box,
+    which contains the f box, is checked against budget before any
+    trial allocates.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    pts = cumulative_lattice_arrays(fam, J, budget)[0]
+    reach = radius + (int(np.abs(pts).max()) if len(pts) else 0)
+    sites = (2 * reach + 1) ** fam.n
+    if sites > budget:
+        raise BudgetExceededError(
+            f"f box {(2 * radius + 1) ** fam.n} and output box {sites} "
+            f"sites exceed budget {budget}"
+        )
 
     def run(trial: int) -> dict:
         if trial == 0:

@@ -124,6 +124,13 @@ def test_write_json_sorted(tmp_path):
     text = path.read_text()
     assert text.index("alpha") < text.index("zeta")
     assert json.loads(text) == {"zeta": 1, "alpha": 0.25}
+    # numpy scalars are written exactly as the Python values they hold
+    plain = {"ok": True, "n": 7, "x": 0.1, "rows": [False, -3, 1e300]}
+    boxed = {"ok": np.bool_(True), "n": np.int64(7), "x": np.float64(0.1),
+             "rows": [np.bool_(False), np.int64(-3), np.float64(1e300)]}
+    write_json(path, boxed)
+    write_json(tmp_path / "p.json", plain)
+    assert path.read_bytes() == (tmp_path / "p.json").read_bytes()
 
 
 def test_grid_bin_round_trip(tmp_path):
@@ -265,10 +272,17 @@ def test_exit_code_config_error(tmp_path):
     assert code == 2
 
 
-def test_exit_code_budget_error(tmp_path):
+def test_exit_code_budget_error(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "phi", j_lo=4, j_hi=4, profile_points=9,
                       quad_node_budget=160)
     assert code == 3
+    # refused from the box sizes, before the 4e12-site f box is allocated
+    capsys.readouterr()
+    code, _ = run_cli(tmp_path, "carleson", n=2, kernel="riesz",
+                      radius=1000000)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget error:") and err.count("\n") == 1
 
 
 def test_worker_count_never_changes_bytes(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carleson import operators
 from carleson.errors import VerificationError
 from carleson.expsums import complete_weyl_sum
 from carleson.kernels import (
@@ -61,8 +62,8 @@ def test_lambda_grid():
     assert g.values == (0.0, 0.25, 0.5, 0.75) and g.spacing == 0.25
     assert g.refined(2).values == LambdaGrid.uniform(8).values
     assert set(g.values) <= set(g.refined(3).values)
-    assert g.with_extra([1.25]).M == g.M  # 0.25 mod 1 already present
-    assert LambdaGrid((0.3,)).spacing == 1.0
+    assert LambdaGrid.uniform(1).spacing == 1.0
+    # only the uniform grid i/M can be built
     with pytest.raises(ValueError):
         LambdaGrid((0.5, 0.25))
     with pytest.raises(ValueError):
@@ -141,6 +142,11 @@ def test_carleson_delta_closed_form():
     assert abs(res.cf.value_at((0,))) < 1e-15
     assert set(np.unique(res.argmax_lambda)) <= set(grid.values)
     assert res.argmax_index.max() < grid.M
+    # a site whose phase weight is 0 mod M ties exactly over the grid,
+    # and ties go to the first grid index
+    tied = [(int(p),) for p, t in zip(pts[:, 0], nvals) if t % grid.M == 0]
+    assert tied
+    assert all(res.argmax_index[res.cf.index_of(x)] == 0 for x in tied)
     spacing = LambdaGrid.uniform(8).spacing
     weighted = sum(float(t) * abs(v) for t, v in zip(nvals, vals))
     assert abs(res.grid_error_bound - math.pi * weighted * spacing) < 1e-12
@@ -169,6 +175,71 @@ def test_carleson_validation():
         carleson_apply(fam, delta_function(1), 0, LambdaGrid.uniform(2))
     with pytest.raises(ValueError):
         carleson_apply(fam, delta_function(2, 1), 3, LambdaGrid.uniform(2))
+
+
+def oracle_carleson(fam, J, M, f):
+    """|sum_y f(x-y) e(i |y|^(2d) / M) K^(J)(y)| at every output site x
+    and grid index i, by plain loops over (f point, kernel point) pairs;
+    each phase is taken from the exact integer i |y|^(2d) mod M."""
+    pts, vals, nvals = cumulative_lattice_arrays(fam, J, 10**8)
+    radius = int(np.abs(pts).max())
+    shape = tuple(2 * (h + radius) + 1 for h in f.halfwidth)
+    sums = np.zeros(shape + (M,), dtype=np.complex128)
+    steps = np.arange(M)
+    for y, k, nv in zip(pts, vals, nvals):
+        row = k * E((steps * int(nv) % M) / M)
+        for u in np.ndindex(*f.values.shape):
+            x = tuple(int(u[a] + y[a]) + radius for a in range(f.n))
+            sums[x] += f.values[u] * row
+    return np.abs(sums)
+
+
+@pytest.mark.parametrize(
+    "name,n,d,J,radius",
+    [("sign", 1, 1, 4, 3), ("sign", 1, 2, 3, 3), ("riesz", 2, 1, 2, 2)],
+)
+@pytest.mark.parametrize("M", [8, 13, 64])
+def test_carleson_matches_direct_sum(monkeypatch, name, n, d, J, radius, M):
+    fam = make_kernel(name, n, d)
+    f = random_function(n, radius, (31, n, d))
+    mags = oracle_carleson(fam, J, M, f)
+    want = mags.max(axis=-1)
+    top2 = np.sort(mags, axis=-1)[..., -2:]
+    clear = top2[..., 1] - top2[..., 0] > 1e-9
+    # the default block, and blocks of 5 sites (splitting 2-D rows)
+    for block in (operators._CLASS_BLOCK_BYTES, 5 * 16 * M):
+        monkeypatch.setattr(operators, "_CLASS_BLOCK_BYTES", block)
+        res = carleson_apply(fam, f, J, LambdaGrid.uniform(M))
+        assert np.all(res.cf.values.imag == 0.0)
+        np.testing.assert_allclose(
+            res.cf.values.real, want, rtol=1e-12, atol=1e-12
+        )
+        assert np.array_equal(
+            res.argmax_index[clear], mags.argmax(axis=-1)[clear]
+        )
+        assert np.array_equal(res.argmax_lambda, res.argmax_index / M)
+
+
+@pytest.mark.parametrize(
+    "name,n,J", [("sign", 1, 4), ("riesz", 2, 3)]
+)
+def test_carleson_exact_symmetries(name, n, J):
+    # conjugation maps the grid value i/M to (M-i)/M, scaling factors
+    # out, and odd kernels with radial phases commute with x -> -x
+    fam = make_kernel(name, n, 1)
+    grid = LambdaGrid.uniform(64)
+    f = random_function(n, 3, (17, n))
+
+    def cf(values):
+        values = np.ascontiguousarray(values)
+        g = LatticeFunction(n, f.center, f.halfwidth, values)
+        return carleson_apply(fam, g, J, grid).cf.values.real
+
+    base = cf(f.values)
+    close = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(cf(np.conj(f.values)), base, **close)
+    np.testing.assert_allclose(cf(2.5j * f.values), 2.5 * base, **close)
+    np.testing.assert_allclose(cf(np.flip(f.values)), np.flip(base), **close)
 
 
 def test_norm_ratio_trial0_and_worker_independence():
