@@ -2,17 +2,19 @@
 
 Subpackages cover the pipeline from arithmetic to operators:
 
-  rationals    reduced fractions, Dirichlet approximation, arc families
+  rationals    reduced fractions, Farey sets, arc windows and families
   expsums      complete Weyl sums, orthogonality and decay scans
   kernels      truncated kernel families and dyadic pieces
   oscint       oscillatory integrals of the dyadic pieces
   multipliers  lattice symbols, cutoffs, arc-localized approximants
-  operators    convolution operators, maximal sweeps, quadratic-pair kernels
+  operators    the maximal operator, rational-block pair sums, chaining
   cli          deterministic command-line experiments
+
+Every primitive has one implementation, in numpy.
 """
 
-from .accel import BACKEND, HAS_NUMBA
+BACKEND = "numpy"
 
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "HAS_NUMBA", "__version__"]
+__all__ = ["BACKEND", "__version__"]

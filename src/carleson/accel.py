@@ -1,19 +1,5 @@
-"""Backend selection for the hot numerical loops.
+"""Low-level numerical primitives of the hot loops, on plain ndarrays.
 
-Two interchangeable implementations of the same low-level primitives live
-here: numba-compiled loops and pure-numpy vectorized fallbacks.  Everything
-operates on plain ndarrays so call sites are backend-agnostic.  The active
-backend is chosen once, at import time:
-
-    CARLESON_BACKEND=numba    force the compiled path (error if unavailable)
-    CARLESON_BACKEND=numpy    force the pure-numpy path
-    CARLESON_BACKEND=auto     numba when importable, else numpy (default)
-
-``implementations()`` exposes both namespaces so the benchmark script can
-time them side by side.
-
-Primitives
-----------
 frac_mul(lam, nvals)
     frac(lam * N) for integer N, |N| < 2**50, computed with a Veltkamp
     split so the result is exact to a few ulp even when lam*N is far
@@ -23,37 +9,22 @@ weyl_phase_counts(q, d, n, a, b)
     histogram over r in [0,q)^n of (a*|r|^(2d) + b.r) mod q.  All integer
     arithmetic, so the subsequent root-of-unity dot product is exact in
     the sense that no phase error is committed before the final q-term sum.
-sxy_phase_counts(q, qp, a, ap, w, d)
-    histogram over r in [0,q)^n of the integer phase
-    (a*|r|^(2d)*qp - ap*|r+w|^(2d)*q) mod (q*qp).
-phase_weighted_sum / phase_weighted_sum_cw
-    sum_m w_m * e(phases_m) with e(x) = exp(2*pi*i*x), real or complex
-    weights, fixed summation order.
-phase_weighted_sum_batch
-    row-wise variant for sweeps; rows are independent, so the result does
-    not depend on the thread count.
+phase_weighted_sum(phases, weights)
+    sum_m w_m * e(phases_m) with e(x) = exp(2*pi*i*x), in a fixed
+    summation order.
 """
 
 from __future__ import annotations
 
-import os
-import types
-
 import numpy as np
 
 __all__ = [
-    "BACKEND",
-    "HAS_NUMBA",
+    "MAX_PHASE_INT",
     "frac_mul",
     "weyl_phase_counts",
-    "sxy_phase_counts",
     "phase_weighted_sum",
-    "phase_weighted_sum_cw",
-    "phase_weighted_sum_batch",
-    "implementations",
 ]
 
-_TWO_PI = 2.0 * np.pi
 # Veltkamp splitting constants: multiplier 2**27+1 splits a double into a
 # 26-bit head and 27-bit tail; integers are split at 2**25 so every partial
 # product fits in 53 bits exactly.
@@ -61,19 +32,8 @@ _SPLIT = 134217729.0  # 2**27 + 1
 _INT_SPLIT = 33554432.0  # 2**25
 MAX_PHASE_INT = 1 << 50
 
-try:
-    import numba
-    from numba import njit, prange
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-
-# ==================== pure-numpy implementations ====================
-
-
-def _frac_mul_np(lam, nvals):
+def frac_mul(lam, nvals):
     lam = float(lam)
     c = _SPLIT * lam
     hi = c - (c - lam)
@@ -90,7 +50,7 @@ def _frac_mul_np(lam, nvals):
     return np.mod(p, 1.0)
 
 
-def _weyl_phase_counts_np(q, d, n, a, b):
+def weyl_phase_counts(q, d, n, a, b):
     idx = np.indices((q,) * n, dtype=np.int64).reshape(n, -1)
     s2 = (idx * idx).sum(axis=0) % q
     md = np.ones_like(s2)
@@ -101,235 +61,5 @@ def _weyl_phase_counts_np(q, d, n, a, b):
     return np.bincount(ph, minlength=q)
 
 
-def _sxy_phase_counts_np(q, qp, a, ap, w, d):
-    w = np.asarray(w, dtype=np.int64)
-    n = w.shape[0]
-    modulus = q * qp
-    idx = np.indices((q,) * n, dtype=np.int64).reshape(n, -1)
-    s2 = (idx * idx).sum(axis=0) % q
-    x = np.ones_like(s2)
-    for _ in range(d):
-        x = (x * s2) % q
-    sh = idx + w.reshape(n, 1)
-    t2 = (sh * sh).sum(axis=0) % qp
-    y = np.ones_like(t2)
-    for _ in range(d):
-        y = (y * t2) % qp
-    ph = (qp * ((a % q) * x % q) - q * ((ap % qp) * y % qp)) % modulus
-    return np.bincount(ph, minlength=modulus)
-
-
-def _phase_weighted_sum_np(phases, weights):
+def phase_weighted_sum(phases, weights):
     return complex(np.sum(weights * np.exp(2j * np.pi * phases)))
-
-
-def _phase_weighted_sum_cw_np(phases, weights):
-    return complex(np.sum(weights * np.exp(2j * np.pi * phases)))
-
-
-def _phase_weighted_sum_batch_np(phases, weights):
-    return (weights[np.newaxis, :] * np.exp(2j * np.pi * phases)).sum(axis=1)
-
-
-_NUMPY_IMPL = types.SimpleNamespace(
-    name="numpy",
-    frac_mul=_frac_mul_np,
-    weyl_phase_counts=_weyl_phase_counts_np,
-    sxy_phase_counts=_sxy_phase_counts_np,
-    phase_weighted_sum=_phase_weighted_sum_np,
-    phase_weighted_sum_cw=_phase_weighted_sum_cw_np,
-    phase_weighted_sum_batch=_phase_weighted_sum_batch_np,
-)
-
-
-# ==================== numba implementations ====================
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _frac_mul_nb(lam, nvals):
-        c = _SPLIT * lam
-        hi = c - (c - lam)
-        lo = lam - hi
-        out = np.empty(nvals.shape[0], dtype=np.float64)
-        for i in range(nvals.shape[0]):
-            nv = float(nvals[i])
-            n_hi = np.floor(nv / _INT_SPLIT) * _INT_SPLIT
-            n_lo = nv - n_hi
-            p = (
-                np.fmod(hi * n_hi, 1.0)
-                + np.fmod(hi * n_lo, 1.0)
-                + np.fmod(lo * n_hi, 1.0)
-                + np.fmod(lo * n_lo, 1.0)
-            )
-            p = np.fmod(p, 1.0)
-            if p < 0.0:
-                p += 1.0
-            out[i] = p
-        return out
-
-    @njit(cache=True)
-    def _weyl_phase_counts_nb(q, d, n, a, b):
-        counts = np.zeros(q, dtype=np.int64)
-        r = np.zeros(n, dtype=np.int64)
-        total = 1
-        for _ in range(n):
-            total *= q
-        am = a % q
-        for _ in range(total):
-            s2 = 0
-            lin = 0
-            for k in range(n):
-                s2 += r[k] * r[k]
-                lin += b[k] * r[k]
-            m = s2 % q
-            md = 1
-            for _ in range(d):
-                md = (md * m) % q
-            p = (am * md + lin % q) % q
-            counts[p] += 1
-            k = n - 1
-            while k >= 0:
-                r[k] += 1
-                if r[k] < q:
-                    break
-                r[k] = 0
-                k -= 1
-        return counts
-
-    @njit(cache=True)
-    def _sxy_phase_counts_nb(q, qp, a, ap, w, d):
-        n = w.shape[0]
-        modulus = q * qp
-        counts = np.zeros(modulus, dtype=np.int64)
-        r = np.zeros(n, dtype=np.int64)
-        total = 1
-        for _ in range(n):
-            total *= q
-        am = a % q
-        apm = ap % qp
-        for _ in range(total):
-            s2 = 0
-            t2 = 0
-            for k in range(n):
-                s2 += r[k] * r[k]
-                v = r[k] + w[k]
-                t2 += v * v
-            x = 1
-            m1 = s2 % q
-            for _ in range(d):
-                x = (x * m1) % q
-            y = 1
-            m2 = t2 % qp
-            for _ in range(d):
-                y = (y * m2) % qp
-            p = (qp * (am * x % q) - q * (apm * y % qp)) % modulus
-            if p < 0:
-                p += modulus
-            counts[p] += 1
-            k = n - 1
-            while k >= 0:
-                r[k] += 1
-                if r[k] < q:
-                    break
-                r[k] = 0
-                k -= 1
-        return counts
-
-    @njit(cache=True)
-    def _phase_weighted_sum_nb(phases, weights):
-        re = 0.0
-        im = 0.0
-        for i in range(phases.shape[0]):
-            t = _TWO_PI * phases[i]
-            re += weights[i] * np.cos(t)
-            im += weights[i] * np.sin(t)
-        return complex(re, im)
-
-    @njit(cache=True)
-    def _phase_weighted_sum_cw_nb(phases, weights):
-        acc = 0.0 + 0.0j
-        for i in range(phases.shape[0]):
-            t = _TWO_PI * phases[i]
-            acc += weights[i] * complex(np.cos(t), np.sin(t))
-        return acc
-
-    @njit(cache=True, parallel=True)
-    def _phase_weighted_sum_batch_nb(phases, weights):
-        nrows = phases.shape[0]
-        m = phases.shape[1]
-        out = np.empty(nrows, dtype=np.complex128)
-        for i in prange(nrows):
-            re = 0.0
-            im = 0.0
-            for k in range(m):
-                t = _TWO_PI * phases[i, k]
-                re += weights[k] * np.cos(t)
-                im += weights[k] * np.sin(t)
-            out[i] = complex(re, im)
-        return out
-
-    def _frac_mul_nb_wrap(lam, nvals):
-        return _frac_mul_nb(float(lam), np.ascontiguousarray(nvals, dtype=np.int64))
-
-    def _weyl_counts_nb_wrap(q, d, n, a, b):
-        return _weyl_phase_counts_nb(
-            q, d, n, a, np.ascontiguousarray(b, dtype=np.int64)
-        )
-
-    def _sxy_counts_nb_wrap(q, qp, a, ap, w, d):
-        return _sxy_phase_counts_nb(
-            q, qp, a, ap, np.ascontiguousarray(w, dtype=np.int64), d
-        )
-
-    _NUMBA_IMPL = types.SimpleNamespace(
-        name="numba",
-        frac_mul=_frac_mul_nb_wrap,
-        weyl_phase_counts=_weyl_counts_nb_wrap,
-        sxy_phase_counts=_sxy_counts_nb_wrap,
-        phase_weighted_sum=lambda p, w: _phase_weighted_sum_nb(
-            np.ascontiguousarray(p), np.ascontiguousarray(w, dtype=np.float64)
-        ),
-        phase_weighted_sum_cw=lambda p, w: _phase_weighted_sum_cw_nb(
-            np.ascontiguousarray(p), np.ascontiguousarray(w, dtype=np.complex128)
-        ),
-        phase_weighted_sum_batch=lambda p, w: _phase_weighted_sum_batch_nb(
-            np.ascontiguousarray(p), np.ascontiguousarray(w, dtype=np.float64)
-        ),
-    )
-else:
-    _NUMBA_IMPL = None
-
-
-def _choose_backend():
-    choice = os.environ.get("CARLESON_BACKEND", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"CARLESON_BACKEND must be auto|numba|numpy, got {choice!r}"
-        )
-    if choice == "numpy":
-        return _NUMPY_IMPL
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise ImportError("CARLESON_BACKEND=numba but numba is not importable")
-        return _NUMBA_IMPL
-    return _NUMBA_IMPL if HAS_NUMBA else _NUMPY_IMPL
-
-
-_ACTIVE = _choose_backend()
-BACKEND = _ACTIVE.name
-
-frac_mul = _ACTIVE.frac_mul
-weyl_phase_counts = _ACTIVE.weyl_phase_counts
-sxy_phase_counts = _ACTIVE.sxy_phase_counts
-phase_weighted_sum = _ACTIVE.phase_weighted_sum
-phase_weighted_sum_cw = _ACTIVE.phase_weighted_sum_cw
-phase_weighted_sum_batch = _ACTIVE.phase_weighted_sum_batch
-
-
-def implementations():
-    """Both backend namespaces, keyed by name (for benchmarks and tests)."""
-    impls = {"numpy": _NUMPY_IMPL}
-    if _NUMBA_IMPL is not None:
-        impls["numba"] = _NUMBA_IMPL
-    return impls

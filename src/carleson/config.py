@@ -55,7 +55,6 @@ class ExperimentConfig:
     j_hi: int = 11
     s_hi: int = 3
     q_max: int = 8
-    grid_size: int = 256
     lambda_count: int = 4096
     samples: int = 200
     profile_points: int = 1000
@@ -92,10 +91,6 @@ class ExperimentConfig:
             raise ConfigError(f"s_hi must be >= 1, got {self.s_hi}")
         if self.q_max < 1:
             raise ConfigError(f"q_max must be >= 1, got {self.q_max}")
-        if self.grid_size < 2 or (self.grid_size & (self.grid_size - 1)):
-            raise ConfigError(
-                f"grid_size must be a power of two >= 2, got {self.grid_size}"
-            )
         if self.lambda_count < 1:
             raise ConfigError(
                 f"lambda_count must be >= 1, got {self.lambda_count}"

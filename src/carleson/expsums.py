@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,10 +36,6 @@ __all__ = [
     "verify_orthogonality",
     "DecayFit",
     "fit_decay_exponent",
-    "LatticeRegion",
-    "box_region",
-    "ball_region",
-    "weyl_sum_region",
 ]
 
 DEFAULT_TERM_BUDGET = 10**9
@@ -97,6 +93,13 @@ def complete_weyl_sum(
         return WeylSumResult(value=value, q=q, terms=terms)
     counts = accel.weyl_phase_counts(q, d, n, a, np.array(b, np.int64))
     return WeylSumResult(value=_sum_from_counts(counts, q, terms), q=q, terms=terms)
+
+
+@lru_cache(maxsize=200_000)
+def _weyl_value(a: int, b: tuple, q: int, d: int) -> complex:
+    """complete_weyl_sum(ArcPair(a, b, q), d).value, cached per
+    (a, b, q, d) for the pair-sum and arc-operator loops."""
+    return complete_weyl_sum(ArcPair(a=a, b=b, q=q), d).value
 
 
 def weyl_table(q: int, a: int, d: int, n: int) -> np.ndarray:
@@ -212,97 +215,3 @@ def fit_decay_exponent(q_max: int, d: int, n: int, q_min: int = 1) -> DecayFit:
     ys = np.array([p[1] for p in pts])
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(pts) >= 2 else 0.0
     return DecayFit(delta_hat=-slope, table=tuple(rows))
-
-
-# ==================== general region sums ====================
-
-
-@dataclass(frozen=True)
-class LatticeRegion:
-    """Convex lattice region handle: a bounding radius plus a vectorized
-    membership predicate over integer points of shape (m, n)."""
-
-    n: int
-    bounding_radius: float
-    contains: Callable[[np.ndarray], np.ndarray]
-
-
-def box_region(lo, hi) -> LatticeRegion:
-    lo = np.atleast_1d(np.asarray(lo, dtype=np.int64))
-    hi = np.atleast_1d(np.asarray(hi, dtype=np.int64))
-    if lo.shape != hi.shape or np.any(lo > hi):
-        raise ValueError("box needs lo <= hi componentwise")
-    radius = float(np.sqrt((np.maximum(np.abs(lo), np.abs(hi)) ** 2).sum()))
-
-    def contains(pts: np.ndarray) -> np.ndarray:
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
-
-    return LatticeRegion(n=lo.shape[0], bounding_radius=radius, contains=contains)
-
-
-def ball_region(radius: float, center=None, n: int = 1) -> LatticeRegion:
-    if center is None:
-        center = np.zeros(n)
-    center = np.atleast_1d(np.asarray(center, dtype=np.float64))
-    r = float(radius)
-
-    def contains(pts: np.ndarray) -> np.ndarray:
-        diff = pts.astype(np.float64) - center
-        return (diff * diff).sum(axis=-1) <= r * r
-
-    bound = float(np.linalg.norm(center)) + r
-    return LatticeRegion(n=center.shape[0], bounding_radius=bound, contains=contains)
-
-
-def weyl_sum_region(
-    coeffs: Mapping[tuple[int, ...], float],
-    R: float,
-    cutoff: Optional[Callable[[np.ndarray], np.ndarray]],
-    region: LatticeRegion,
-    budget: int = DEFAULT_TERM_BUDGET,
-) -> complex:
-    """sum_{x in Z^n, x in region} e(P(x)) * phi(x) for the real polynomial
-    P(x) = sum_alpha c_alpha x^alpha over multi-indices 1 <= |alpha| <= D.
-
-    The region must fit inside the ball of radius 100 R; phi = 1 when
-    cutoff is None.  Raises BudgetExceededError when the bounding box
-    holds more than `budget` lattice points."""
-    if not coeffs:
-        raise ValueError("coeffs must contain at least one monomial")
-    n = region.n
-    for alpha in coeffs:
-        if len(alpha) != n:
-            raise ValueError(f"multi-index {alpha} does not have length {n}")
-        deg = sum(alpha)
-        if deg < 1:
-            raise ValueError(f"multi-index {alpha} has degree < 1")
-        if any(a < 0 for a in alpha):
-            raise ValueError(f"multi-index {alpha} has negative entries")
-    if region.bounding_radius > 100.0 * R:
-        raise ValueError(
-            f"region radius {region.bounding_radius} exceeds 100*R = {100.0 * R}"
-        )
-    half = int(math.floor(region.bounding_radius)) + 1
-    count = (2 * half + 1) ** n
-    if count > budget:
-        raise BudgetExceededError(
-            f"bounding box holds {count} lattice points (> {budget})"
-        )
-    axes = [np.arange(-half, half + 1, dtype=np.int64)] * n
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=-1)
-    pts = pts[region.contains(pts)]
-    if pts.size == 0:
-        return 0.0 + 0.0j
-    x = pts.astype(np.float64)
-    phase = np.zeros(x.shape[0])
-    for alpha, c in sorted(coeffs.items()):
-        mono = np.ones(x.shape[0])
-        for k, e in enumerate(alpha):
-            if e:
-                mono = mono * x[:, k] ** e
-        phase += float(c) * mono
-    weights = np.ones(x.shape[0]) if cutoff is None else np.asarray(
-        cutoff(x), dtype=np.float64
-    )
-    return accel.phase_weighted_sum(np.ascontiguousarray(phase), weights)

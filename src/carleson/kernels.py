@@ -25,9 +25,7 @@ summed against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -43,11 +41,6 @@ __all__ = [
     "kernel_value",
     "kernel_piece",
     "kernel_cumulative",
-    "gradient_piece",
-    "sphere_mean",
-    "KernelBoundsReport",
-    "verify_kernel_bounds",
-    "lattice_kernel_samples",
     "lattice_arrays",
     "cumulative_lattice_arrays",
     "exact_phase_weights",
@@ -187,98 +180,6 @@ def kernel_cumulative(fam: KernelFamily, J: int, x) -> np.ndarray:
     return eta(r * 2.0**-J) * kernel_value(fam, x)
 
 
-def gradient_piece(fam: KernelFamily, j: int, x, step: float | None = None):
-    """Central-difference gradient of K_j, shape (..., n)."""
-    x = _as_points(x, fam.n)
-    if step is None:
-        step = 2.0**j * 1e-6
-    grads = []
-    for k in range(fam.n):
-        e = np.zeros(fam.n)
-        e[k] = step
-        grads.append(
-            (kernel_piece(fam, j, x + e) - kernel_piece(fam, j, x - e))
-            / (2.0 * step)
-        )
-    return np.stack(grads, axis=-1)
-
-
-# ==================== sphere quadrature ====================
-
-
-def sphere_mean(fam: KernelFamily, nodes: int = 4096) -> float:
-    """Spherical mean of Omega (normalized surface measure); built-in
-    families are mean-zero by symmetry and this verifies it numerically.
-    Supports n <= 3."""
-    if fam.n == 1:
-        pts = np.array([[1.0], [-1.0]])
-        return float(fam.omega(pts).mean())
-    if fam.n == 2:
-        th = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
-        pts = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        return float(fam.omega(pts).mean())
-    if fam.n == 3:
-        m = max(8, int(math.isqrt(nodes)))
-        mu, wts = np.polynomial.legendre.leggauss(m)  # mu = cos(polar)
-        ph = 2.0 * np.pi * (np.arange(2 * m) + 0.5) / (2 * m)
-        s = np.sqrt(1.0 - mu**2)
-        pts = np.stack(
-            [
-                np.outer(s, np.cos(ph)),
-                np.outer(s, np.sin(ph)),
-                np.outer(mu, np.ones_like(ph)),
-            ],
-            axis=-1,
-        )
-        vals = fam.omega(pts)
-        return float((wts @ vals.mean(axis=1)) / wts.sum())
-    raise NotImplementedError("sphere_mean supports n <= 3")
-
-
-# ==================== sampled bound verification ====================
-
-
-@dataclass(frozen=True)
-class KernelBoundsReport:
-    a0: float
-    a1: float
-    j_max: int
-    samples: int
-
-
-def verify_kernel_bounds(
-    fam: KernelFamily, j_max: int, samples: int = 2000, seed: int = 7
-) -> KernelBoundsReport:
-    """Sampled suprema A0 = max 2^(jn)|K_j| and A1 = max 2^(j(n+1))|grad K_j|
-    over j <= j_max (gradients by central differences).
-
-    The scaled sup is uniform in j because the pieces are exact dilates for
-    j >= 2.  The cumulative piece j = 1 is sampled on radii >= 1/2 only:
-    it is singular at the continuum origin and is always evaluated on the
-    lattice (|x| >= 1) where the stated bound applies.
-    """
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
-    rng = np.random.default_rng(seed)
-    a0 = 0.0
-    a1 = 0.0
-    for j in range(1, j_max + 1):
-        lo = 0.5 if j == 1 else 2.0 ** (j - 1)
-        hi = 2.0 ** (j + 1)
-        r = np.exp(rng.uniform(np.log(lo), np.log(hi), size=samples))
-        if fam.n == 1:
-            dirs = rng.choice([-1.0, 1.0], size=(samples, 1))
-        else:
-            dirs = rng.standard_normal((samples, fam.n))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = dirs * r[:, None]
-        vals = np.abs(kernel_piece(fam, j, pts))
-        grad = np.linalg.norm(gradient_piece(fam, j, pts), axis=-1)
-        a0 = max(a0, float((2.0 ** (j * fam.n) * vals).max()))
-        a1 = max(a1, float((2.0 ** (j * (fam.n + 1)) * grad).max()))
-    return KernelBoundsReport(a0=a0, a1=a1, j_max=j_max, samples=samples)
-
-
 # ==================== lattice samples ====================
 
 _LATTICE_CACHE: dict = {}
@@ -336,15 +237,6 @@ def lattice_arrays(
     result = (pts, vals, nvals)
     _LATTICE_CACHE[key] = result
     return result
-
-
-def lattice_kernel_samples(
-    fam: KernelFamily, j: int, budget: int = DEFAULT_LATTICE_BUDGET
-) -> dict[tuple[int, ...], float]:
-    """Map from lattice points y (tuples) to K_j(y), restricted to the
-    nonzero samples; y = 0 is never included."""
-    pts, vals, _ = lattice_arrays(fam, j, budget)
-    return {tuple(int(c) for c in p): float(v) for p, v in zip(pts, vals)}
 
 
 def cumulative_lattice_arrays(

@@ -35,13 +35,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .accel import frac_mul, phase_weighted_sum
-from .errors import BudgetExceededError
-from .expsums import complete_weyl_sum
+from .expsums import _weyl_value, complete_weyl_sum
 from .kernels import DEFAULT_LATTICE_BUDGET, KernelFamily, lattice_arrays
 from .kernels import _transition
 from .oscint import QuadratureSpec, phi, phi_star
@@ -55,11 +54,9 @@ from .rationals import (
 )
 
 __all__ = [
-    "MultiplierGrid",
     "CutoffSpec",
     "make_cutoffs",
     "m_lattice",
-    "m_grid",
     "approx_error",
     "lsj_terms",
     "L_sj",
@@ -74,42 +71,6 @@ __all__ = [
 # full-enumeration caps for the arc sums; beyond these the unique active
 # window is located directly instead of scanning the whole block
 _ENUM_CAP_S = {1: 6, 2: 4}
-
-
-# ==================== sampled multiplier grids ====================
-
-
-@dataclass(frozen=True)
-class MultiplierGrid:
-    """Samples of a 1-periodic symbol on the uniform grid xi = k/N.
-
-    values has shape (N,)*n and is indexed by the integer frequency
-    vector k; kind tags what was sampled ("m" for the lattice symbol).
-    """
-
-    n: int
-    N: int
-    j: int
-    lam: float
-    kind: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.N < 1 or (self.N & (self.N - 1)) != 0:
-            raise ValueError(f"N must be a power of two, got {self.N}")
-        expected = (self.N,) * self.n
-        if self.values.shape != expected:
-            raise ValueError(
-                f"values shape {self.values.shape} != {expected}"
-            )
-        if not np.all(np.isfinite(self.values.view(np.float64))):
-            raise ValueError("grid values must be finite")
-
-    def xi(self, k) -> np.ndarray:
-        """Frequency vector k/N for an integer index tuple."""
-        return np.asarray(k, dtype=np.float64) / self.N
 
 
 # ==================== smooth frequency cutoffs ====================
@@ -243,33 +204,6 @@ def m_lattice(
     for k in range(fam.n):
         phases = phases + frac_mul(float(xi[k]) % 1.0, pts[:, k])
     return phase_weighted_sum(phases, vals)
-
-
-def m_grid(
-    fam: KernelFamily,
-    j: int,
-    lam: float,
-    N: int,
-    budget: int = DEFAULT_LATTICE_BUDGET,
-) -> MultiplierGrid:
-    """All samples m_{j,lam}(k/N) at once via an inverse FFT of the
-    modulated kernel folded onto [N]^n.
-
-    N must be a power of two with N >= 2^(j+3) so the kernel support
-    (width 2^(j+2)+1) embeds without wraparound collisions.
-    """
-    if N < 1 or (N & (N - 1)) != 0:
-        raise ValueError(f"N must be a power of two, got {N}")
-    if N < 2 ** (j + 3):
-        raise ValueError(f"N = {N} too small for scale j = {j} "
-                         f"(need >= {2 ** (j + 3)})")
-    pts, vals, nvals = lattice_arrays(fam, j, budget)
-    g = np.zeros((N,) * fam.n, dtype=np.complex128)
-    idx = tuple(np.mod(pts[:, k], N) for k in range(fam.n))
-    g[idx] = vals * np.exp(2j * np.pi * frac_mul(float(lam) % 1.0, nvals))
-    values = (float(N) ** fam.n) * np.fft.ifftn(g)
-    return MultiplierGrid(n=fam.n, N=N, j=j, lam=lam, kind="m",
-                          values=values)
 
 
 # ==================== rational-arc approximation ====================
@@ -410,10 +344,6 @@ def E_j(
 
 
 # ==================== symbol-valued arc operators ====================
-
-
-def _weyl_value(a: int, b: tuple, q: int, d: int) -> complex:
-    return complete_weyl_sum(ArcPair(a=a, b=b, q=q), d).value
 
 
 def _nearest_fraction(x: float, max_den: int) -> Fraction:

@@ -1,17 +1,13 @@
-"""Operators on lattice functions: single-scale modulated convolutions,
-the maximal (supremum over modulation) operator, TT* kernels and their
-Schur bounds, and the small numerical inequalities used to control
-maxima over modulation grids.
+"""Operators on lattice functions: the maximal (supremum over
+modulation) operator, the rational-block pair sums, and the dyadic
+chaining inequality used to control maxima over modulation grids.
 
-Single-scale convolutions are exact: the input box and the kernel ball
-are zero-padded to a power of two at least the width of their sum, so
-the cyclic transform equals the linear convolution coefficient for
-coefficient.  The supremum over the modulation parameter runs over the
-uniform grid i/M in [0,1) (integer phase weights make every symbol
-1-periodic).  On it the phase of a kernel point depends only on the
-exact residue |y|^(2d) mod M, so the maximal operator scatters f x K
-pairs into per-site residue-class sums and takes one length-M transform
-per site instead of one convolution per grid value.  Grid coarseness is
+The supremum over the modulation parameter runs over the uniform grid
+i/M in [0,1) (integer phase weights make every symbol 1-periodic).  On
+it the phase of a kernel point depends only on the exact residue
+|y|^(2d) mod M, so the maximal operator scatters f x K pairs into
+per-site residue-class sums and takes one length-M transform per site
+instead of one convolution per grid value.  Grid coarseness is
 accounted for by a reported modulus-of-continuity bound instead of being
 silently ignored.
 
@@ -23,24 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .accel import frac_mul, phase_weighted_sum, phase_weighted_sum_cw
-from .errors import BudgetExceededError, VerificationError
-from .expsums import complete_weyl_sum
+from .errors import BudgetExceededError
+from .expsums import _roots_of_unity, _weyl_value
 from .kernels import (
     DEFAULT_LATTICE_BUDGET,
     KernelFamily,
     cumulative_lattice_arrays,
-    exact_phase_weights,
-    kernel_piece,
-    lattice_arrays,
 )
 from .parallel import ordered_map
-from .rationals import ArcPair, ReducedRational
 
 __all__ = [
     "LatticeFunction",
@@ -48,17 +38,10 @@ __all__ = [
     "CarlesonResult",
     "delta_function",
     "random_function",
-    "apply_mj",
     "carleson_apply",
     "norm_ratio_stats",
-    "tts_kernel",
-    "s_xy",
-    "kappa_forms",
     "kappa_table",
-    "kappa",
-    "schur_bound",
     "rm_bound",
-    "sobolev_maximal_bound",
 ]
 
 
@@ -86,7 +69,7 @@ class LatticeFunction:
             raise ValueError(
                 f"values shape {self.values.shape} != {expected}"
             )
-        if not np.all(np.isfinite(self.values.view(np.float64))):
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
 
     def norm2(self) -> float:
@@ -171,53 +154,6 @@ class LambdaGrid:
     @property
     def spacing(self) -> float:
         return 1.0 / self.M
-
-
-# ==================== single-scale application ====================
-
-
-def _fft_shape(widths: Sequence[int]) -> tuple[int, ...]:
-    return tuple(1 << (int(w) - 1).bit_length() for w in widths)
-
-
-def _kernel_box(pts, vals, phases=None):
-    """Dense array of kernel samples on its bounding box, origin at the
-    geometric center; optionally modulated by e(phases)."""
-    radius = int(np.abs(pts).max()) if len(pts) else 0
-    n = pts.shape[1]
-    shape = (2 * radius + 1,) * n
-    box = np.zeros(shape, dtype=np.complex128)
-    idx = tuple(pts[:, k] + radius for k in range(n))
-    if phases is None:
-        box[idx] = vals
-    else:
-        box[idx] = vals * np.exp(2j * np.pi * phases)
-    return box, radius
-
-
-def apply_mj(
-    fam: KernelFamily,
-    j: int,
-    lam: float,
-    f: LatticeFunction,
-    budget: int = DEFAULT_LATTICE_BUDGET,
-) -> LatticeFunction:
-    """g(x) = sum_{y != 0} f(x-y) e(lam |y|^(2d)) K_j(y), exactly, on
-    the support box of f grown by the kernel radius 2^(j+1)."""
-    if fam.n != f.n:
-        raise ValueError(f"function dimension {f.n} != kernel n {fam.n}")
-    pts, vals, nvals = lattice_arrays(fam, j, budget)
-    kbox, radius = _kernel_box(pts, vals, frac_mul(float(lam) % 1.0, nvals))
-    out_half = tuple(h + radius for h in f.halfwidth)
-    widths = tuple(2 * h + 1 for h in out_half)
-    shape = _fft_shape(widths)
-    fpad = np.zeros(shape, dtype=np.complex128)
-    fpad[tuple(slice(0, s) for s in f.values.shape)] = f.values
-    kpad = np.zeros(shape, dtype=np.complex128)
-    kpad[tuple(slice(0, s) for s in kbox.shape)] = kbox
-    conv = np.fft.ifftn(np.fft.fftn(fpad) * np.fft.fftn(kpad))
-    out = np.ascontiguousarray(conv[tuple(slice(0, w) for w in widths)])
-    return LatticeFunction(f.n, f.center, out_half, out)
 
 
 # ==================== the maximal operator ====================
@@ -368,153 +304,7 @@ def norm_ratio_stats(
     return max_ratio, rows
 
 
-# ==================== TT* kernels ====================
-
-
-def _as_point(x, n: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=np.int64))
-    if arr.shape != (n,):
-        raise ValueError(f"lattice point must have shape ({n},)")
-    return arr
-
-
-def tts_kernel(
-    fam: KernelFamily,
-    j: int,
-    lambda_map: Callable[[np.ndarray], float],
-    x,
-    y,
-    budget: int = DEFAULT_LATTICE_BUDGET,
-) -> complex:
-    """Kernel of the composition (modulated convolution) x (its
-    adjoint) when the modulation parameter may vary per site:
-
-        sum_z e( lam(x)|z|^(2d) - lam(y)|y-x+z|^(2d) )
-              K_j(z) conj(K_j(y-x+z)) 1_{|x-z| <= 2^j}
-
-    Vanishes whenever |x| > 2^(j+2) or |y| > 2^(j+2).
-    """
-    x = _as_point(x, fam.n)
-    y = _as_point(y, fam.n)
-    lim = 2.0 ** (j + 2)
-    if np.linalg.norm(x) > lim or np.linalg.norm(y) > lim:
-        return 0.0 + 0.0j
-    pts, vals, nvals = lattice_arrays(fam, j, budget)
-    shifted = pts + (y - x)[np.newaxis, :]
-    other = kernel_piece(fam, j, shifted.astype(np.float64))
-    ball = (
-        ((x[np.newaxis, :] - pts) ** 2).sum(axis=1) <= (1 << j) ** 2
-    )
-    weights = vals * other * ball
-    keep = weights != 0.0
-    if not np.any(keep):
-        return 0.0 + 0.0j
-    lam_x = float(lambda_map(x)) % 1.0
-    lam_y = float(lambda_map(y)) % 1.0
-    n2 = exact_phase_weights(shifted[keep], fam.d)
-    ph = frac_mul(lam_x, nvals[keep]) - frac_mul(lam_y, n2)
-    return phase_weighted_sum(ph, np.ascontiguousarray(weights[keep]))
-
-
-def schur_bound(
-    kernel: Callable[[np.ndarray, np.ndarray], complex],
-    rows: Sequence,
-    cols: Sequence,
-) -> float:
-    """max over row points of sum over column points of |kernel(x,y)|;
-    bounds the l2 operator norm when the kernel is Hermitian."""
-    best = 0.0
-    cols = [np.atleast_1d(np.asarray(c, dtype=np.int64)) for c in cols]
-    for x in rows:
-        x = np.atleast_1d(np.asarray(x, dtype=np.int64))
-        total = 0.0
-        for y in cols:
-            total += abs(kernel(x, y))
-        best = max(best, total)
-    return best
-
-
 # ==================== rational-block pair sums ====================
-
-
-@lru_cache(maxsize=None)
-def _roots(q: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(q) / q)
-
-
-@lru_cache(maxsize=200_000)
-def _weyl_cached(a: int, b: tuple, q: int, d: int) -> complex:
-    return complete_weyl_sum(ArcPair(a=a, b=b, q=q), d).value
-
-
-def s_xy(
-    a: int,
-    q: int,
-    ap: int,
-    qp: int,
-    w,
-    d: int,
-    n: int,
-    budget: int = 10**8,
-) -> complex:
-    """q^(-n) sum_{r in [q]^n} e( a|r|^(2d)/q - a'|r+w|^(2d)/q' ), with
-    the phase reduced exactly as an integer mod q*q'."""
-    if q < 1 or qp < 1:
-        raise ValueError("q, q' must be >= 1")
-    if q**n > budget:
-        raise BudgetExceededError(f"{q}^{n} terms exceed budget {budget}")
-    w = _as_point(w, n)
-    counts = _sxy_counts(q, qp, a, ap, tuple(int(t) for t in w), d)
-    value = complex(np.dot(counts, _roots(q * qp)))
-    return value / q**n
-
-
-@lru_cache(maxsize=100_000)
-def _sxy_counts(q, qp, a, ap, w, d) -> np.ndarray:
-    from .accel import sxy_phase_counts
-
-    return np.asarray(
-        sxy_phase_counts(q, qp, a, ap, np.asarray(w, dtype=np.int64), d),
-        dtype=np.float64,
-    )
-
-
-def kappa_forms(
-    a: int,
-    q: int,
-    ap: int,
-    qp: int,
-    w,
-    d: int,
-    n: int,
-) -> tuple[complex, complex]:
-    """Both closed forms of the block pair sum for reduced a/q, a'/q':
-
-    beta form:    sum_{b in [g]^n} S(a/q, b/g) conj(S(a'/q', b/g)) e(w.b/g)
-    double form:  (q'/g)^(-n) sum_{u in [q'/g]^n} s_xy(a,q,a',q', w + u*g)
-
-    with g = gcd(q, q').  The two are equal identically; callers compare
-    them as a correctness check on the exponential-sum machinery.
-    """
-    if math.gcd(a, q) != 1 or math.gcd(ap, qp) != 1:
-        raise ValueError("a/q and a'/q' must be reduced")
-    w = _as_point(w, n)
-    g = math.gcd(q, qp)
-    beta = 0.0 + 0.0j
-    for b in np.ndindex(*((g,) * n)):
-        b1 = tuple((int(t) * (q // g)) % q for t in b)
-        b2 = tuple((int(t) * (qp // g)) % qp for t in b)
-        s1 = _weyl_cached(a % q, b1, q, d)
-        s2 = _weyl_cached(ap % qp, b2, qp, d)
-        phase = sum(int(wi) * int(bi) for wi, bi in zip(w, b)) % g
-        beta += s1 * np.conj(s2) * _roots(g)[phase]
-    m = qp // g
-    double = 0.0 + 0.0j
-    for u in np.ndindex(*((m,) * n)):
-        shift = w + g * np.asarray(u, dtype=np.int64)
-        double += s_xy(a, q, ap, qp, shift, d, n)
-    double /= float(m**n)
-    return beta, double
 
 
 def kappa_table(
@@ -526,13 +316,20 @@ def kappa_table(
     d: int,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """kappa_forms evaluated at every row of shifts (an integer array of
-    shape (count, n)); returns the (beta, double) value arrays.
+    """Both closed forms of the block pair sum for reduced a/q, a'/q' at
+    every row w of shifts (an integer array of shape (count, n)):
 
-    Exhaustive |w|-box scans call this instead of looping kappa_forms:
-    the beta form depends on w only mod g and the double form only mod
-    q', so each is tabulated once on its fundamental domain and the box
-    is filled by residue lookup.
+    beta form:    sum_{b in [g]^n} S(a/q, b/g) conj(S(a'/q', b/g)) e(w.b/g)
+    double form:  (q'/g)^(-n) sum_{u in [q'/g]^n} s(w + u*g),
+                  s(w) = q^(-n) sum_{r in [q]^n}
+                             e( a|r|^(2d)/q - a'|r+w|^(2d)/q' )
+
+    with g = gcd(q, q'); returns the (beta, double) value arrays.  The
+    two are equal identically, so callers compare them as a check on the
+    exponential-sum machinery.  The beta form depends on w only mod g
+    and the double form only mod q', so each is tabulated once on its
+    fundamental domain and the shifts are filled by residue lookup; the
+    phase of s is reduced exactly as an integer mod q*q'.
     """
     if math.gcd(a, q) != 1 or math.gcd(ap, qp) != 1:
         raise ValueError("a/q and a'/q' must be reduced")
@@ -544,8 +341,8 @@ def kappa_table(
     for b in np.ndindex(*((g,) * n)):
         b1 = tuple((int(t) * (q // g)) % q for t in b)
         b2 = tuple((int(t) * (qp // g)) % qp for t in b)
-        prod[b] = _weyl_cached(a % q, b1, q, d) * np.conj(
-            _weyl_cached(ap % qp, b2, qp, d)
+        prod[b] = _weyl_value(a % q, b1, q, d) * np.conj(
+            _weyl_value(ap % qp, b2, qp, d)
         )
     # sum_b prod[b] e(+w.b/g) is the unnormalized inverse transform
     beta_dom = np.fft.ifftn(prod) * g**n
@@ -561,7 +358,7 @@ def kappa_table(
     for _ in range(d):
         y = y * t2 % qp
     ph = (qp * ((a % q) * x % q)[None, :] - q * ((ap % qp) * y % qp)) % (q * qp)
-    sxy_dom = _roots(q * qp)[ph].sum(axis=1) / float(q**n)
+    sxy_dom = _roots_of_unity(q * qp)[ph].sum(axis=1) / float(q**n)
     m = qp // g
     strides = qp ** np.arange(n - 1, -1, -1, dtype=np.int64)
     dbl_dom = np.zeros(qp**n, dtype=np.complex128)
@@ -572,38 +369,6 @@ def kappa_table(
     beta_vals = beta_dom[tuple(np.mod(shifts.T, g))]
     dbl_vals = dbl_dom[strides @ np.mod(shifts.T, qp)]
     return beta_vals, dbl_vals
-
-
-def kappa(
-    s: int,
-    alpha: ReducedRational,
-    alpha_prime: ReducedRational,
-    w,
-    d: int,
-    n: int,
-    tol: float = 1e-9,
-) -> complex:
-    """Block pair sum at level s for modulation rationals alpha (the
-    unconjugated factor) and alpha_prime (conjugated), with frequency
-    shift w.  Both closed forms are evaluated and must agree to tol;
-    disagreement raises, because the identity is exact and a gap can
-    only mean a bug in the exponential sums.
-    """
-    lo, hi = 1 << (s - 1), 1 << s
-    for r in (alpha, alpha_prime):
-        if not lo <= r.den < hi:
-            raise ValueError(
-                f"denominator {r.den} outside block [{lo}, {hi})"
-            )
-    beta, double = kappa_forms(
-        alpha.num, alpha.den, alpha_prime.num, alpha_prime.den, w, d, n
-    )
-    if abs(beta - double) > tol:
-        raise VerificationError(
-            f"pair-sum forms disagree by {abs(beta - double):.3e} "
-            f"(> {tol:.1e}) at alpha={alpha}, alpha'={alpha_prime}, w={w}"
-        )
-    return beta
 
 
 # ==================== numerical inequalities ====================
@@ -634,14 +399,3 @@ def rm_bound(a: Sequence[complex], j0: int) -> tuple[float, float]:
         diffs = arr[step::step] - arr[:-step:step]
         rhs += math.sqrt(2.0) * float(np.linalg.norm(diffs))
     return lhs, rhs
-
-
-def sobolev_maximal_bound(N: int, A: float, B: float, delta: float) -> float:
-    """Operator-norm bound sqrt(N)*A + sqrt(2*N*A*B*delta) for a maximal
-    function over N disjoint modulation intervals of length delta, from
-    a size bound A and a derivative bound B."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if A < 0 or B < 0 or delta < 0:
-        raise ValueError("A, B, delta must be >= 0")
-    return math.sqrt(N) * A + math.sqrt(2.0 * N * A * B * delta)

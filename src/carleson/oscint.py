@@ -49,9 +49,6 @@ __all__ = [
     "QuadratureSpec",
     "phi",
     "phi_star",
-    "phi_s",
-    "phi_s_tail_bound",
-    "verify_phi_decay",
     "vdc_profile",
 ]
 
@@ -267,64 +264,6 @@ def phi_star(
     return phi(fam, j, nu, xi, quad)
 
 
-def _phi_s_start(s: int, eps1: float) -> int:
-    # smallest integer j with j*eps1 >= s; the nudge absorbs float noise
-    # for non-dyadic eps1 without moving genuine non-integers
-    return math.ceil(s / eps1 - 1e-9)
-
-
-def phi_s(
-    fam: KernelFamily,
-    s: int,
-    lam: float,
-    xi,
-    params: ArcParams,
-    J_max: int,
-    quad: QuadratureSpec,
-) -> complex:
-    """Partial sum over scales: sum_{ceil(s/eps1) <= j <= J_max} of the
-    windowed pieces Phi*_{j,lam}(xi).  Requires J_max >= ceil(s/eps1)."""
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    j0 = _phi_s_start(s, params.eps1)
-    if J_max < j0:
-        raise ValueError(f"J_max = {J_max} below first scale {j0}")
-    total = 0.0 + 0.0j
-    for j in range(j0, J_max + 1):
-        total += phi_star(fam, j, lam, xi, params, quad)
-    return total
-
-
-def phi_s_tail_bound(
-    fam: KernelFamily,
-    s: int,
-    lam: float,
-    xi,
-    params: ArcParams,
-    J_max: int,
-    c_vdc: float = 4.0,
-) -> float:
-    """Upper bound on the tail sum_{j > J_max} |Phi*_{j,lam}(xi)| from the
-    stationary-phase decay (1 + 2^(2dj)|lam| + 2^j|xi|)^(-1/(2d)) with
-    constant c_vdc, honoring the |lam| window that kills large j."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    ximag = float(np.linalg.norm(xi))
-    d = fam.d
-    total = 0.0
-    j = J_max + 1
-    for _ in range(100_000):
-        if abs(lam) > 2.0 ** (-2 * d * j + params.eps1 * j):
-            break  # window empty for this and all larger j
-        term = c_vdc * (1.0 + 2.0 ** (2 * d * j) * abs(lam) + 2.0**j * ximag) ** (
-            -1.0 / (2 * d)
-        )
-        total += term
-        if term < 1e-18:
-            break
-        j += 1
-    return total
-
-
 def vdc_profile(
     fam: KernelFamily,
     j_values: Iterable[int],
@@ -357,16 +296,3 @@ def vdc_profile(
             best = max(best, mag * factor)
         out[j] = best
     return out
-
-
-def verify_phi_decay(
-    fam: KernelFamily,
-    j_values: Iterable[int],
-    grid: Sequence,
-    quad: QuadratureSpec,
-    scaled: bool = True,
-) -> float:
-    """Largest van der Corput product over the j range and grid; finite
-    and stable under grid refinement when the decay estimate holds."""
-    profile = vdc_profile(fam, j_values, grid, quad, scaled=scaled)
-    return max(profile.values())

@@ -3,13 +3,13 @@
 Every sweep in this package reduces its per-item results in submission
 order, so the outputs are a pure function of (inputs, seed) and do not
 depend on how many workers happened to run them.  Threads are sufficient
-here: the heavy loops release the GIL inside numpy/numba.
+here: the heavy loops release the GIL inside numpy.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")

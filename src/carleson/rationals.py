@@ -1,9 +1,9 @@
 """Exact rational and arc-set machinery.
 
 This module owns every Diophantine object the lab needs: reduced fractions,
-Dirichlet approximation, Farey sets, the dyadic families of rational pairs
-(a/q, b/q) with gcd(a, b, q) = 1 grouped by denominator block
-q in [2^(s-1), 2^s), and the frequency-space neighborhoods around them.
+Farey sets, the dyadic families of rational pairs (a/q, b/q) with
+gcd(a, b, q) = 1 grouped by denominator block q in [2^(s-1), 2^s), and the
+modulation windows around them.
 
 Conventions
 -----------
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -33,16 +33,11 @@ __all__ = [
     "ReducedRational",
     "ArcPair",
     "ArcParams",
-    "reduce",
-    "dirichlet_approx",
     "farey_set",
     "in_Xj",
-    "in_Mj",
-    "mj_candidates",
     "enumerate_Rs",
     "rs_block",
     "lcm_range",
-    "divisor_count",
 ]
 
 DEFAULT_ENUM_LIMIT = 5_000_000
@@ -166,71 +161,6 @@ def _nearest_int(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def reduce(num: int, den: int) -> ReducedRational:
-    """Canonical reduced form of num/den with den >= 1.
-
-    Raises ZeroDivisionError for den = 0.
-    """
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if den < 0:
-        num, den = -num, -den
-    g = math.gcd(num, den)
-    return ReducedRational(num // g, den // g)
-
-
-def dirichlet_approx(x: float, Q: int) -> ReducedRational:
-    """Best rational approximation a/q with 1 <= q <= Q and
-    |x - a/q| <= 1/(qQ).
-
-    Among qualifying denominators the smallest q wins; the numerator is
-    the nearest integer to q*x (ties broken half-up).  The smallest
-    qualifying q is always a continued-fraction convergent denominator,
-    which is how the search proceeds; a linear scan backstops float
-    degeneracies.
-    """
-    if Q < 1:
-        raise ValueError(f"Q must be >= 1, got {Q}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-
-    def qualifies(q: int) -> Optional[ReducedRational]:
-        m = _nearest_int(x * q)
-        if abs(x - m / q) <= 1.0 / (q * Q):
-            return reduce(m, q)
-        return None
-
-    prev_q = 0
-    cur_q = 1
-    t = x - math.floor(x)
-    for _ in range(128):
-        if cur_q > Q:
-            break
-        hit = qualifies(cur_q)
-        if hit is not None:
-            return hit
-        if t <= 1e-18:
-            break
-        inv = 1.0 / t
-        digit = math.floor(inv)
-        t = inv - digit
-        prev_q, cur_q = cur_q, digit * cur_q + prev_q
-
-    for q in range(1, min(Q, 100_000) + 1):
-        hit = qualifies(q)
-        if hit is not None:
-            return hit
-
-    # Mathematically unreachable (Dirichlet's theorem); kept as a
-    # deterministic last resort against pathological floats.
-    best_q = min(
-        range(1, min(Q, 100_000) + 1),
-        key=lambda q: (abs(x * q - _nearest_int(x * q)), q),
-    )
-    return reduce(_nearest_int(x * best_q), best_q)
-
-
 def farey_set(Q: int) -> list[ReducedRational]:
     """All reduced fractions a/q with 0 <= a < q <= Q, ascending by value.
 
@@ -277,51 +207,6 @@ def in_Xj(lam: float, j: int, params: ArcParams) -> Optional[ReducedRational]:
     if len(hits) > 1:
         raise ValueError(
             f"windows overlap at lam={lam}, j={j}: {[str(h) for h in hits]}"
-        )
-    return hits[0]
-
-
-def mj_candidates(
-    lam: float, xi: Sequence[float], j: int, params: ArcParams
-) -> list[ArcPair]:
-    """All pairs (a/q, b/q) with gcd(a,b,q)=1, q < 2^floor(j*eps2), whose
-    joint window |lam - a/q| <= 2^(-2dj+eps2*j), |xi - b/q| <= 2^(-j+eps2*j)
-    contains (lam, xi).  Euclidean norm on the xi offset; closed bounds."""
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
-    xi = np.asarray(xi, dtype=np.float64)
-    if xi.shape != (params.n,):
-        raise ValueError(f"xi must have shape ({params.n},), got {xi.shape}")
-    s_max = math.floor(j * params.eps2)
-    lam_width = 2.0 ** (-2 * params.d * j + params.eps2 * j)
-    xi_width = 2.0 ** (-j + params.eps2 * j)
-    hits: list[ArcPair] = []
-    for q in range(1, 1 << s_max):
-        a = _nearest_int(lam * q)
-        b = [_nearest_int(x * q) for x in xi]
-        if math.gcd(a, *b, q) != 1:
-            continue  # the same rational pair is canonical at q/gcd
-        if abs(lam - a / q) > lam_width:
-            continue
-        off = xi - np.array(b, dtype=np.float64) / q
-        if math.sqrt(float(np.dot(off, off))) > xi_width:
-            continue
-        hits.append(ArcPair(a % q, tuple(bk % q for bk in b), q))
-    return hits
-
-
-def in_Mj(
-    lam: float, xi: Sequence[float], j: int, params: ArcParams
-) -> Optional[ArcPair]:
-    """The unique canonical pair whose joint neighborhood contains
-    (lam, xi), or None.  See ``mj_candidates`` for the window geometry."""
-    hits = mj_candidates(lam, xi, j, params)
-    if not hits:
-        return None
-    if len(hits) > 1:
-        raise ValueError(
-            f"joint windows overlap at lam={lam}, xi={xi}, j={j}: "
-            f"{[(h.a, h.b, h.q) for h in hits]}"
         )
     return hits[0]
 
@@ -379,23 +264,3 @@ def lcm_range(s: int) -> int:
             f"lcm over [2^{s-1}, 2^{s}] exceeds 128-bit integer range"
         )
     return math.lcm(*range(1 << (s - 1), (1 << s) + 1))
-
-
-def divisor_count(q: int) -> int:
-    """Number of positive divisors tau(q)."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    count = 1
-    rem = q
-    p = 2
-    while p * p <= rem:
-        if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            count *= e + 1
-        p += 1 if p == 2 else 2
-    if rem > 1:
-        count *= 2
-    return count

@@ -16,20 +16,8 @@ from carleson.config import (
     load_config,
     parse_config_text,
 )
-from carleson.diskio import (
-    format_value,
-    read_grid_bin,
-    read_lattice_bin,
-    write_csv,
-    write_grid_bin,
-    write_json,
-    write_lattice_bin,
-    write_lattice_csv,
-)
+from carleson.diskio import format_value, write_csv, write_json
 from carleson.errors import ConfigError
-from carleson.multipliers import m_grid
-from carleson.operators import random_function
-from carleson.kernels import make_kernel
 from carleson.parallel import ordered_map
 
 
@@ -74,13 +62,15 @@ def test_load_config_overrides_file(tmp_path):
     assert cfg.q_max == 6 and cfg.seed == 7
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.cfg")
+    with pytest.raises(ConfigError):
+        load_config(None, {"grid_size": "96"})  # no longer a key
 
 
 @pytest.mark.parametrize("bad", [
     dict(kernel="mystery"),
     dict(eps1=0.5, eps2=0.3),
     dict(j_lo=8, j_hi=6),
-    dict(grid_size=96),
+    dict(lambda_count=0),
     dict(q_max=0),
     dict(workers=0),
     dict(suite="rm,mystery"),
@@ -131,35 +121,6 @@ def test_write_json_sorted(tmp_path):
     write_json(path, boxed)
     write_json(tmp_path / "p.json", plain)
     assert path.read_bytes() == (tmp_path / "p.json").read_bytes()
-
-
-def test_grid_bin_round_trip(tmp_path):
-    fam = make_kernel("sign", 1, 1)
-    gd = m_grid(fam, 3, 0.3, 64)
-    path = tmp_path / "g.bin"
-    write_grid_bin(path, gd)
-    back = read_grid_bin(path)
-    assert (back.n, back.N, back.j, back.lam) == (1, 64, 3, 0.3)
-    assert np.array_equal(back.values, gd.values)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ConfigError):
-        read_grid_bin(path)
-
-
-def test_lattice_bin_and_csv_round_trip(tmp_path):
-    f = random_function(2, 2, (9, 3)).translated((4, -1))
-    path = tmp_path / "f.bin"
-    write_lattice_bin(path, f)
-    back = read_lattice_bin(path)
-    assert back.center == (4, -1) and back.halfwidth == (2, 2)
-    assert np.array_equal(back.values, f.values)
-    cpath = tmp_path / "f.csv"
-    write_lattice_csv(cpath, f)
-    lines = cpath.read_text().splitlines()
-    assert lines[0] == "x0,x1,re,im" and len(lines) == 1 + 25
-    first = lines[1].split(",")
-    assert [int(first[0]), int(first[1])] == [2, -3]
-    assert complex(float(first[2]), float(first[3])) == f.values[0, 0]
 
 
 # ==================== parallel map ====================

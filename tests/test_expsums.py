@@ -1,6 +1,5 @@
 """Complete exponential sums: direct-summation oracles, Gauss-sum
-magnitudes, orthogonality, the DFT table path, decay fits, and general
-region sums."""
+magnitudes, orthogonality, the DFT table path, and decay fits."""
 
 import math
 
@@ -10,12 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from carleson.errors import BudgetExceededError
 from carleson.expsums import (
-    ball_region,
-    box_region,
     complete_weyl_sum,
     fit_decay_exponent,
     verify_orthogonality,
-    weyl_sum_region,
     weyl_table,
 )
 from carleson.rationals import ArcPair
@@ -130,34 +126,3 @@ def test_decay_fit_positive_exponent():
     assert fit.max_abs(1) == 1.0
     # q prime: the maximum over b is attained and equals q^(-1/2)
     assert abs(fit.max_abs(13) - 13**-0.5) < 1e-12
-
-
-# ==================== region sums ====================
-
-
-def test_region_sum_matches_direct():
-    reg = box_region([-4], [4])
-    lam, xi = 0.37, 0.21
-    got = weyl_sum_region({(2,): lam, (1,): xi}, 4.0, None, reg)
-    want = sum(
-        np.exp(2j * np.pi * (lam * y**2 + xi * y)) for y in range(-4, 5)
-    )
-    assert abs(got - want) < 1e-12
-
-
-def test_ball_region_counts():
-    reg = ball_region(2.5, n=2)
-    # zero phase polynomial: the sum counts lattice points in the ball
-    got = weyl_sum_region({(1, 0): 0.0}, 3.0, None, reg)
-    assert abs(got - 21.0) < 1e-12
-
-
-def test_region_sum_with_cutoff():
-    reg = box_region([-6], [6])
-    weight = lambda pts: np.exp(-np.abs(pts[:, 0]).astype(float))
-    got = weyl_sum_region({(2,): 0.11}, 6.0, weight, reg)
-    want = sum(
-        np.exp(2j * np.pi * 0.11 * y**2) * math.exp(-abs(y))
-        for y in range(-6, 7)
-    )
-    assert abs(got - want) < 1e-12

@@ -16,12 +16,10 @@ from carleson.multipliers import (
     CutoffSpec,
     E_j,
     L_sj,
-    MultiplierGrid,
     approx_error,
     bsharp_set,
     factorization_residual,
     lsj_terms,
-    m_grid,
     m_lattice,
     make_cutoffs,
     script_L,
@@ -80,37 +78,18 @@ def test_m_periodicity_bit_exact_at_dyadic_args():
 
 
 def test_m_grid_matches_pointwise():
+    # the samples m(k/N) are N times the inverse DFT of the modulated
+    # kernel folded onto [N]; N >= 2^(j+3) leaves no wraparound
     fam = make_kernel("sign", 1, 1)
-    lam = 21.0 / 64.0
-    gd = m_grid(fam, 4, lam, 128)
-    _, vals, _ = lattice_arrays(fam, 4, 10**8)
+    lam, N = 21.0 / 64.0, 128
+    pts, vals, nvals = lattice_arrays(fam, 4, 10**8)
+    folded = np.zeros(N, dtype=np.complex128)
+    folded[pts[:, 0] % N] = vals * np.exp(2j * np.pi * lam * nvals)
+    grid = N * np.fft.ifft(folded)
     scale = np.abs(vals).sum()
-    worst = max(abs(gd.values[k] - m_lattice(fam, 4, lam, k / 128.0))
-                for k in range(0, 128, 7))
+    worst = max(abs(grid[k] - m_lattice(fam, 4, lam, k / N))
+                for k in range(0, N, 7))
     assert worst <= 1e-10 * scale
-    assert np.array_equal(m_grid(fam, 4, lam + 1.0, 128).values, gd.values)
-    assert gd.xi((3,)) == 3.0 / 128.0
-
-
-def test_m_grid_validation():
-    fam = make_kernel("sign", 1, 1)
-    with pytest.raises(ValueError):
-        m_grid(fam, 4, 0.1, 64)  # needs N >= 2^(j+3)
-    with pytest.raises(ValueError):
-        m_grid(fam, 4, 0.1, 96)
-
-
-def test_multiplier_grid_validation():
-    ok = np.zeros((8,), dtype=np.complex128)
-    MultiplierGrid(n=1, N=8, j=1, lam=0.0, kind="m", values=ok)
-    with pytest.raises(ValueError):
-        MultiplierGrid(n=1, N=6, j=1, lam=0.0, kind="m",
-                       values=np.zeros((6,), dtype=np.complex128))
-    with pytest.raises(ValueError):
-        MultiplierGrid(n=2, N=8, j=1, lam=0.0, kind="m", values=ok)
-    with pytest.raises(ValueError):
-        MultiplierGrid(n=1, N=8, j=1, lam=0.0, kind="m",
-                       values=ok + np.nan)
 
 
 # ==================== rational-arc approximation ====================

@@ -1,6 +1,6 @@
 """Oscillatory integrals of the kernel pieces: dense-quadrature oracles,
-exact dilation invariance, windowed variants, partial sums, tail bounds,
-the van der Corput profile, and quadrature failure modes.
+exact dilation invariance, the windowed variant, the van der Corput
+profile, and quadrature failure modes.
 """
 
 import math
@@ -13,8 +13,6 @@ from carleson.kernels import eta, make_kernel, psi_profile
 from carleson.oscint import (
     QuadratureSpec,
     phi,
-    phi_s,
-    phi_s_tail_bound,
     phi_star,
     vdc_profile,
 )
@@ -131,29 +129,6 @@ def test_phi_star_family_mismatch():
     fam = make_kernel("sign", 1, 2)  # d = 2 against d = 1 params
     with pytest.raises(ValueError):
         phi_star(fam, 6, 0.0, 0.1, PARAMS, QUAD)
-
-
-def test_phi_s_matches_manual_sum():
-    fam = make_kernel("sign", 1, 1)
-    j0 = math.ceil(1 / PARAMS.eps1)
-    lam, xi, J = 2.0**-11, 0.05, j0 + 3
-    manual = sum(phi_star(fam, j, lam, xi, PARAMS, QUAD)
-                 for j in range(j0, J + 1))
-    assert phi_s(fam, 1, lam, xi, PARAMS, J, QUAD) == manual
-    with pytest.raises(ValueError):
-        phi_s(fam, 1, lam, xi, PARAMS, j0 - 1, QUAD)
-    with pytest.raises(ValueError):
-        phi_s(fam, 0, lam, xi, PARAMS, J, QUAD)
-
-
-def test_tail_bound_decreases_and_respects_window():
-    fam = make_kernel("sign", 1, 1)
-    lam = 2.0**-14
-    vals = [phi_s_tail_bound(fam, 1, lam, 0.05, PARAMS, J) for J in (4, 5, 6, 8)]
-    assert vals[0] > 0.0
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-    # once |lam| exceeds every remaining window the tail is empty
-    assert vals[-1] == 0.0
 
 
 # ==================== van der Corput profile ====================

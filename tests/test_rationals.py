@@ -1,9 +1,8 @@
-"""Rational arcs: reduction, Dirichlet approximation, Farey sets, the
-modulation windows X_j, the joint neighborhoods, and denominator blocks.
+"""Rational arcs: reduced fractions, Farey sets, the modulation windows
+X_j, and denominator blocks.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,30 +12,15 @@ from carleson.rationals import (
     ArcPair,
     ArcParams,
     ReducedRational,
-    dirichlet_approx,
-    divisor_count,
     enumerate_Rs,
     farey_set,
-    in_Mj,
     in_Xj,
     lcm_range,
-    mj_candidates,
-    reduce,
     rs_block,
 )
 
 
 # ==================== oracles ====================
-
-
-def brute_best_rational(x: float, Q: int):
-    """Smallest denominator q <= Q whose nearest fraction satisfies the
-    Dirichlet bound |x - a/q| <= 1/(qQ)."""
-    for q in range(1, Q + 1):
-        a = math.floor(x * q + 0.5)
-        if abs(x - a / q) <= 1.0 / (q * Q):
-            return Fraction(a, q)
-    return None
 
 
 def brute_farey_count(Q: int) -> int:
@@ -56,26 +40,7 @@ def brute_rs_count(s: int, n: int) -> int:
     return total
 
 
-# ==================== reduction ====================
-
-
-def test_reduce_examples():
-    assert reduce(2, 4) == ReducedRational(1, 2)
-    assert reduce(-3, -9) == ReducedRational(1, 3)
-    assert reduce(0, 7) == ReducedRational(0, 1)
-    assert reduce(5, -10) == ReducedRational(-1, 2)
-    with pytest.raises(ZeroDivisionError):
-        reduce(1, 0)
-
-
-@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-def test_reduce_canonical(num, den):
-    if den == 0:
-        return
-    r = reduce(num, den)
-    assert r.den >= 1
-    assert math.gcd(r.num, r.den) == 1
-    assert Fraction(r.num, r.den) == Fraction(num, den)
+# ==================== reduced fractions ====================
 
 
 def test_reduced_rational_rejects_non_reduced():
@@ -92,37 +57,6 @@ def test_arc_pair_canonical():
         ArcPair(2, (2,), 4)  # gcd 2
     with pytest.raises(ValueError):
         ArcPair(4, (1,), 4)  # a outside [0, q)
-
-
-# ==================== dirichlet approximation ====================
-
-
-@given(
-    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    st.integers(1, 300),
-)
-@settings(max_examples=300)
-def test_dirichlet_bound(x, Q):
-    r = dirichlet_approx(x, Q)
-    assert 1 <= r.den <= Q
-    assert abs(x - r.value) <= 1.0 / (r.den * Q) + 1e-15
-
-
-@given(
-    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    st.integers(1, 60),
-)
-@settings(max_examples=150)
-def test_dirichlet_matches_smallest_denominator(x, Q):
-    r = dirichlet_approx(x, Q)
-    best = brute_best_rational(x, Q)
-    assert best is not None
-    assert r.den == best.denominator
-
-
-def test_dirichlet_exact_rational():
-    r = dirichlet_approx(3 / 7, 50)
-    assert (r.num, r.den) == (3, 7)
 
 
 # ==================== farey sets and blocks ====================
@@ -178,11 +112,6 @@ def test_lcm_range_values():
         lcm_range(7)
 
 
-@given(st.integers(1, 5000))
-def test_divisor_count(q):
-    assert divisor_count(q) == sum(1 for t in range(1, q + 1) if q % t == 0)
-
-
 # ==================== modulation windows ====================
 
 
@@ -206,18 +135,6 @@ def test_in_xj_respects_denominator_bound():
     assert in_Xj(1 / 5 + 0.1 * w, j, params) is None  # q=5 not admitted
     hit = in_Xj(1 / 3 - 0.9 * w, j, params)
     assert (hit.num, hit.den) == (1, 3)
-
-
-def test_in_mj_unique_and_empty():
-    params = ArcParams(d=1, n=1, eps1=0.25, eps2=0.3)
-    j = 10  # joint denominators below 2^3 = 8
-    lam_w = 2.0 ** (-2 * j + params.eps2 * j)
-    xi_w = 2.0 ** (-j + params.eps2 * j)
-    pair = in_Mj(0.5 + 0.3 * lam_w, [1 / 3 + 0.3 * xi_w], j, params)
-    assert (pair.a, pair.b, pair.q) == (3, (2,), 6)
-    assert in_Mj(0.5 + 5 * lam_w, [0.123456], j, params) is None
-    hits = mj_candidates(0.5 + 0.3 * lam_w, [1 / 3], j, params)
-    assert len(hits) == 1
 
 
 @given(st.floats(0, 1, exclude_max=True), st.integers(5, 11))
