@@ -50,12 +50,19 @@ def frac_mul(lam, nvals):
     return np.mod(p, 1.0)
 
 
+def _norm_power_mod(r, d, q):
+    """|r|^(2d) mod q for the int64 points r stacked along axis 0, in
+    exact integer arithmetic: every product stays below q^2."""
+    s2 = (r * r).sum(axis=0) % q
+    out = np.ones_like(s2)
+    for _ in range(d):
+        out = out * s2 % q
+    return out
+
+
 def weyl_phase_counts(q, d, n, a, b):
     idx = np.indices((q,) * n, dtype=np.int64).reshape(n, -1)
-    s2 = (idx * idx).sum(axis=0) % q
-    md = np.ones_like(s2)
-    for _ in range(d):
-        md = (md * s2) % q
+    md = _norm_power_mod(idx, d, q)
     lin = (np.asarray(b, dtype=np.int64).reshape(n, 1) * idx).sum(axis=0)
     ph = ((a % q) * md + lin) % q
     return np.bincount(ph, minlength=q)

@@ -12,8 +12,9 @@ Subcommands:
   kappa     two-form identity scan for the block pair sums
   verify    invariant suites with per-suite pass/fail lines
 
-Every command accepts --config PATH plus one --key value flag per
-configuration field; flags win over the file.  Exit codes: 0 pass,
+Every command accepts --config PATH plus a --key value flag for each
+configuration key it reads (_KEYS); any other key is a configuration
+error, and flags win over the file.  Exit codes: 0 pass,
 1 verification failure, 2 configuration error, 3 budget exhausted.
 Outputs are byte-identical for a fixed (config, seed) regardless of
 the worker count: parallel sweeps run through an order-preserving
@@ -39,7 +40,8 @@ from .errors import (
 )
 from .diskio import write_csv, write_json
 from .expsums import fit_decay_exponent, verify_orthogonality
-from .kernels import eta, kernel_value, kernel_piece, psi_profile
+from .kernels import cumulative_lattice_arrays, eta, kernel_piece
+from .kernels import kernel_value, psi_profile
 from .multipliers import (
     approx_error,
     bsharp_set,
@@ -173,8 +175,7 @@ def _profile_grid(cfg: ExperimentConfig) -> list[tuple[float, np.ndarray]]:
     side = max(2, int(math.isqrt(cfg.profile_points)))
     us = np.linspace(-4.0, 4.0, side)
     vs = np.linspace(-8.0, 8.0, side)
-    e1 = np.zeros(cfg.n)
-    e1[0] = 1.0
+    e1 = np.eye(cfg.n)[0]
     return [(float(u), v * e1) for u in us for v in vs]
 
 
@@ -264,9 +265,6 @@ def cmd_carleson(cfg: ExperimentConfig, out: Path) -> int:
         ["trial", "norm_f", f"ratio_J{j1}", f"ratio_J{j2}"],
         rows,
     )
-
-    from .kernels import cumulative_lattice_arrays
-
     deltas = {}
     for J in (j1, j2):
         _, vals, _ = cumulative_lattice_arrays(fam, J, cfg.budget)
@@ -303,32 +301,29 @@ def cmd_carleson(cfg: ExperimentConfig, out: Path) -> int:
 # ==================== kappa ====================
 
 
+def _shift_box(w: int, n: int) -> np.ndarray:
+    """Every integer shift in [-w, w]^n, one row each, in C order."""
+    return np.array(list(np.ndindex(*((2 * w + 1,) * n))), np.int64) - w
+
+
+def _form_gap(pairs, pairs_prime, shifts, cfg: ExperimentConfig) -> float:
+    """Largest gap between the two kappa forms over pairs x pairs_prime."""
+    gap = 0.0
+    for a, q in pairs:
+        for ap, qp in pairs_prime:
+            beta, dbl = kappa_table(a, q, ap, qp, shifts, cfg.d, cfg.n)
+            gap = max(gap, float(np.abs(beta - dbl).max()))
+    return gap
+
+
 def cmd_kappa(cfg: ExperimentConfig, out: Path) -> int:
-    shifts = np.array(
-        [
-            list(w)
-            for w in np.ndindex(*((2 * cfg.w_max + 1,) * cfg.n))
-        ],
-        dtype=np.int64,
-    ) - cfg.w_max
+    shifts = _shift_box(cfg.w_max, cfg.n)
     pairs = _reduced_pairs(cfg.q_max)
-    rows = []
-    worst = 0.0
-    for q in range(1, cfg.q_max + 1):
-        for qp in range(1, cfg.q_max + 1):
-            gap = 0.0
-            for a in range(q):
-                if math.gcd(a, q) != 1:
-                    continue
-                for ap in range(qp):
-                    if math.gcd(ap, qp) != 1:
-                        continue
-                    beta, dbl = kappa_table(
-                        a, q, ap, qp, shifts, cfg.d, cfg.n
-                    )
-                    gap = max(gap, float(np.abs(beta - dbl).max()))
-            rows.append([q, qp, gap])
-            worst = max(worst, gap)
+    by_q = {q: [p for p in pairs if p[1] == q]
+            for q in range(1, cfg.q_max + 1)}
+    rows = [[q, qp, _form_gap(by_q[q], by_q[qp], shifts, cfg)]
+            for q in by_q for qp in by_q]
+    worst = max(row[2] for row in rows)
     write_csv(out / "kappa_gaps.csv", ["q", "q_prime", "max_gap"], rows)
     write_json(
         out / "kappa_summary.json",
@@ -372,8 +367,7 @@ def _suite_partition(cfg: ExperimentConfig) -> tuple[bool, str]:
 
 def _suite_symmetry(cfg: ExperimentConfig) -> tuple[bool, str]:
     fam, quad = cfg.family(), cfg.quad()
-    e1 = np.zeros(cfg.n)
-    e1[0] = 1.0
+    e1 = np.eye(cfg.n)[0]
     worst = 0.0
     for u, v in ((0.7, 1.3), (-1.9, 0.4)):
         vals = [
@@ -437,17 +431,9 @@ def _suite_disjointness(cfg: ExperimentConfig) -> tuple[bool, str]:
     return bad == 0, f"{bad} multi-term events in {checked} draws"
 
 
-def _factorization_cutoffs(cfg: ExperimentConfig):
-    if cfg.fault == "chi_tilde_shrink":
-        # designed fault: the wide cutoff stops covering supp chi
-        return make_cutoffs(1, cfg.n, tilde_plateau=0.05,
-                            tilde_support=0.15)
-    return make_cutoffs(1, cfg.n)
-
-
 def _suite_factorization(cfg: ExperimentConfig) -> tuple[bool, str]:
     fam, quad = cfg.family(), cfg.quad()
-    cut = _factorization_cutoffs(cfg)
+    cut = make_cutoffs(1, cfg.n)
     handles = [
         lambda off: 1.5 + 0.0j,
         lambda off: np.exp(2j * np.pi * float(np.sum(off)))
@@ -481,17 +467,9 @@ def _suite_factorization(cfg: ExperimentConfig) -> tuple[bool, str]:
 
 def _suite_kappa(cfg: ExperimentConfig) -> tuple[bool, str]:
     w_top = min(cfg.w_max, 24)
-    shifts = np.array(
-        [list(w) for w in np.ndindex(*((2 * w_top + 1,) * cfg.n))],
-        dtype=np.int64,
-    ) - w_top
     q_top = min(cfg.q_max, 12 if cfg.n == 1 else 8)
     pairs = _reduced_pairs(q_top)
-    worst = 0.0
-    for a, q in pairs:
-        for ap, qp in pairs:
-            beta, dbl = kappa_table(a, q, ap, qp, shifts, cfg.d, cfg.n)
-            worst = max(worst, float(np.abs(beta - dbl).max()))
+    worst = _form_gap(pairs, pairs, _shift_box(w_top, cfg.n), cfg)
     return worst <= 1e-9, (
         f"max form gap {worst:.3e} over {len(pairs) ** 2} pairs, "
         f"|w| <= {w_top}"
@@ -517,12 +495,7 @@ def _suite_rm(cfg: ExperimentConfig) -> tuple[bool, str]:
 
 def _suite_decay(cfg: ExperimentConfig) -> tuple[bool, str]:
     fit = fit_decay_exponent(min(max(cfg.q_max, 32), 64), cfg.d, cfg.n)
-    if cfg.n == 1 and cfg.d == 1:
-        floor_needed = 0.4
-    elif cfg.n == 1 and cfg.d == 2:
-        floor_needed = 0.05
-    else:
-        floor_needed = 0.0
+    floor_needed = {(1, 1): 0.4, (1, 2): 0.05}.get((cfg.n, cfg.d), 0.0)
     fam, quad = cfg.family(), cfg.quad()
     side = 8
     grid = [
@@ -574,6 +547,36 @@ _COMMANDS = {
     "verify": cmd_verify,
 }
 
+# the configuration keys each command reads besides the global ones;
+# no other key is accepted
+_GLOBAL = ("seed", "workers", "out")
+_FAM = ("kernel", "kernel_param", "d", "n")
+_QUAD = ("quad_resolution", "quad_max_depth", "quad_tol", "quad_node_budget")
+_KEYS = {
+    "weyl": ("d", "n", "q_max"),
+    "approx": _FAM + _QUAD + ("j_lo", "j_hi", "q_max", "samples"),
+    "phi": _FAM + _QUAD + ("j_lo", "j_hi", "profile_points"),
+    "arcs": ("n", "s_hi"),
+    "carleson": _FAM + ("lambda_count", "carleson_j", "carleson_j2",
+                        "trials", "radius", "budget"),
+    "kappa": ("d", "n", "q_max", "w_max"),
+    "verify": _FAM + _QUAD + ("eps1", "eps2", "q_max", "w_max", "samples",
+                              "j_lo", "j_hi", "s_hi", "suite"),
+}
+
+# commands and verify suites built on phi or on fixed 1-D/2-D points
+_PLANAR = ("approx", "phi", "partition", "symmetry", "disjointness",
+           "factorization", "decay")
+
+
+def _check_dimension(command: str, cfg: ExperimentConfig) -> None:
+    uses = cfg.suites() if command == "verify" else (command,)
+    planar = [name for name in uses if name in _PLANAR]
+    if cfg.n > 2 and planar:
+        raise ConfigError(
+            f"{', '.join(planar)}: only n <= 2 is supported, got n = {cfg.n}"
+        )
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -582,29 +585,31 @@ def build_parser() -> argparse.ArgumentParser:
         "modulated singular operator",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} command")
+    kinds = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    for name, keys in _KEYS.items():
+        p = sub.add_parser(name, help=f"run the {name} command",
+                           allow_abbrev=False)
+        # every field is an attribute of the namespace, None unless given
+        p.set_defaults(**dict.fromkeys(kinds))
         p.add_argument("--config", default=None, metavar="PATH")
-        for field in dataclasses.fields(ExperimentConfig):
-            p.add_argument(
-                f"--{field.name}",
-                default=None,
-                metavar=field.type.upper()
-                if field.type in ("int", "float")
-                else "VALUE",
-            )
+        for key in keys + _GLOBAL:
+            p.add_argument(f"--{key}", metavar=kinds[key].upper())
     return top
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(ExperimentConfig)
-        if getattr(args, f.name) is not None
-    }
+    args, unread = build_parser().parse_known_args(argv)
+    keys = _KEYS[args.command] + _GLOBAL
+    overrides = {key: getattr(args, key) for key in keys
+                 if getattr(args, key) is not None}
     try:
-        cfg = load_config(args.config, overrides)
+        if unread:
+            raise ConfigError(
+                f"{args.command} does not read {' '.join(unread)} "
+                f"(it reads {', '.join(keys)})"
+            )
+        cfg = load_config(args.config, overrides, keys)
+        _check_dimension(args.command, cfg)
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)

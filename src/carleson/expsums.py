@@ -108,11 +108,7 @@ def weyl_table(q: int, a: int, d: int, n: int) -> np.ndarray:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     idx = np.indices((q,) * n, dtype=np.int64)
-    s2 = (idx * idx).sum(axis=0) % q
-    md = np.ones_like(s2)
-    for _ in range(d):
-        md = (md * s2) % q
-    ph = (a % q) * md % q
+    ph = (a % q) * accel._norm_power_mod(idx, d, q) % q
     grid = _roots_of_unity(q)[ph]
     # ifftn(G)[b] = q^-n sum_r G[r] e(+b.r/q), exactly the normalized sum
     return np.fft.ifftn(grid)

@@ -211,6 +211,24 @@ def exact_phase_weights(pts: np.ndarray, d: int) -> np.ndarray:
     return np.ascontiguousarray(nvals_obj.astype(np.int64))
 
 
+def _cached_lattice(key, fam: KernelFamily, j: int, budget: int, profile):
+    """(points, values, phase_weights) of profile(fam, j, y) at the
+    lattice points y != 0 of the scale-j box where it is nonzero; built
+    once per cache key."""
+    hit = _LATTICE_CACHE.get(key)
+    if hit is not None:
+        return hit
+    pts = _lattice_box(j, fam.n, budget)
+    pts = pts[np.any(pts != 0, axis=1)]
+    vals = profile(fam, j, pts.astype(np.float64))
+    keep = vals != 0.0
+    pts = np.ascontiguousarray(pts[keep])
+    vals = np.ascontiguousarray(vals[keep])
+    result = (pts, vals, exact_phase_weights(pts, fam.d))
+    _LATTICE_CACHE[key] = result
+    return result
+
+
 def lattice_arrays(
     fam: KernelFamily, j: int, budget: int = DEFAULT_LATTICE_BUDGET
 ):
@@ -222,21 +240,7 @@ def lattice_arrays(
       phase_weights  int64, |y|^(2d) (exact; guarded against exceeding
                      the range the phase-reduction primitive supports)
     """
-    key = (fam, j)
-    hit = _LATTICE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    pts = _lattice_box(j, fam.n, budget)
-    nonzero = np.any(pts != 0, axis=1)
-    pts = pts[nonzero]
-    vals = kernel_piece(fam, j, pts.astype(np.float64))
-    keep = vals != 0.0
-    pts = np.ascontiguousarray(pts[keep])
-    vals = np.ascontiguousarray(vals[keep])
-    nvals = exact_phase_weights(pts, fam.d)
-    result = (pts, vals, nvals)
-    _LATTICE_CACHE[key] = result
-    return result
+    return _cached_lattice((fam, j), fam, j, budget, kernel_piece)
 
 
 def cumulative_lattice_arrays(
@@ -244,18 +248,6 @@ def cumulative_lattice_arrays(
 ):
     """Arrays (points, values, phase_weights) for sum_{j<=J} K_j on the
     lattice, via the telescoped form eta(2^-J |y|) K(y)."""
-    key = (fam, J, "cumulative")
-    hit = _LATTICE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    pts = _lattice_box(J, fam.n, budget)
-    nonzero = np.any(pts != 0, axis=1)
-    pts = pts[nonzero]
-    vals = kernel_cumulative(fam, J, pts.astype(np.float64))
-    keep = vals != 0.0
-    pts = np.ascontiguousarray(pts[keep])
-    vals = np.ascontiguousarray(vals[keep])
-    nvals = exact_phase_weights(pts, fam.d)
-    result = (pts, vals, nvals)
-    _LATTICE_CACHE[key] = result
-    return result
+    return _cached_lattice(
+        (fam, J, "cumulative"), fam, J, budget, kernel_cumulative
+    )

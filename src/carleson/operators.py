@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .accel import _norm_power_mod
 from .errors import BudgetExceededError
 from .expsums import _roots_of_unity, _weyl_value
 from .kernels import (
@@ -348,15 +349,8 @@ def kappa_table(
     beta_dom = np.fft.ifftn(prod) * g**n
     zs = np.indices((q,) * n, dtype=np.int64).reshape(n, -1)
     vs = np.indices((qp,) * n, dtype=np.int64).reshape(n, -1)
-    zq = (zs * zs).sum(axis=0) % q
-    x = np.ones_like(zq)
-    for _ in range(d):
-        x = x * zq % q
-    sh = zs[:, None, :] + vs[:, :, None]
-    t2 = (sh * sh).sum(axis=0) % qp
-    y = np.ones_like(t2)
-    for _ in range(d):
-        y = y * t2 % qp
+    x = _norm_power_mod(zs, d, q)
+    y = _norm_power_mod(zs[:, None, :] + vs[:, :, None], d, qp)
     ph = (qp * ((a % q) * x % q)[None, :] - q * ((ap % qp) * y % qp)) % (q * qp)
     sxy_dom = _roots_of_unity(q * qp)[ph].sum(axis=1) / float(q**n)
     m = qp // g

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from carleson import cli
 from carleson.cli import main
 from carleson.config import (
     VERIFY_SUITES,
@@ -18,6 +19,7 @@ from carleson.config import (
 )
 from carleson.diskio import format_value, write_csv, write_json
 from carleson.errors import ConfigError
+from carleson.multipliers import make_cutoffs
 from carleson.parallel import ordered_map
 
 
@@ -64,6 +66,10 @@ def test_load_config_overrides_file(tmp_path):
         load_config(tmp_path / "absent.cfg")
     with pytest.raises(ConfigError):
         load_config(None, {"grid_size": "96"})  # no longer a key
+    # a command's key set refuses every other key, from the file too
+    assert load_config(path, None, ("q_max", "seed")).q_max == 4
+    with pytest.raises(ConfigError):
+        load_config(path, None, ("q_max",))
 
 
 @pytest.mark.parametrize("bad", [
@@ -74,13 +80,13 @@ def test_load_config_overrides_file(tmp_path):
     dict(q_max=0),
     dict(workers=0),
     dict(suite="rm,mystery"),
-    dict(fault="mystery"),
+    dict(fault="mystery"),          # no longer a key
     dict(quad_resolution=1.0),      # wrapped quadrature validation
     dict(kernel="harmonic", n=1),   # wrapped kernel-family validation
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
-        ExperimentConfig(**bad)
+        load_config(None, bad)
 
 
 # ==================== result files ====================
@@ -219,9 +225,12 @@ def test_cmd_verify_single_suite(tmp_path, capsys):
     assert summary["rm"]["ok"] is True
 
 
-def test_cmd_verify_fault_injection(tmp_path, capsys):
+def test_cmd_verify_fault_injection(tmp_path, capsys, monkeypatch):
+    # designed fault: the wide cutoff stops covering supp chi
+    monkeypatch.setattr(cli, "make_cutoffs", lambda s, n: make_cutoffs(
+        s, n, tilde_plateau=0.05, tilde_support=0.15))
     code, out = run_cli(tmp_path, "verify", suite="factorization",
-                        fault="chi_tilde_shrink", samples=50)
+                        samples=50)
     assert code == 1
     assert "factorization: FAIL" in capsys.readouterr().out
 
@@ -231,6 +240,65 @@ def test_exit_code_config_error(tmp_path):
     assert code == 2
     code, _ = run_cli(tmp_path, "weyl", q_max="lots")
     assert code == 2
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("approx", "budget", 10),
+    ("weyl", "trials", 99),
+    ("arcs", "kernel", "riesz"),
+    ("kappa", "radius", 7),
+    ("phi", "samples", 3),
+    ("carleson", "suite", "rm"),
+    ("verify", "lambda_count", 16),
+])
+def test_key_outside_command_is_refused(tmp_path, capsys, name, key, value):
+    code, out = run_cli(tmp_path, name, **{key: value})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert f"--{key}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_file_key_outside_command_is_refused(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("q_max = 4\nbudget = 10\n")
+    out = tmp_path / "out"
+    assert main(["weyl", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "budget" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, kv", [
+    ("weyl", dict(q_max=3)),
+    ("arcs", dict(s_hi=2)),
+    ("kappa", dict(q_max=3, w_max=1)),
+])
+def test_commands_without_kernel_run_at_n2(tmp_path, name, kv):
+    code, _ = run_cli(tmp_path, name, n=2, **kv)
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "--profile_points", "4", "--j_lo", "3", "--j_hi", "3"],
+    ["approx", "--samples", "1", "--j_lo", "4", "--j_hi", "4"],
+    *(["verify", "--suite", suite] for suite in
+      ("partition", "symmetry", "disjointness", "factorization", "decay")),
+])
+def test_planar_paths_refuse_n3(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main([*argv, "--n", "3", "--kernel", "riesz", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert "n <= 2" in err and not out.exists()
+
+
+def test_verify_rm_runs_at_n3(tmp_path):
+    code, _ = run_cli(tmp_path, "verify", suite="rm", samples=5, n=3,
+                      kernel="riesz")
+    assert code == 0
 
 
 def test_exit_code_budget_error(tmp_path, capsys):

@@ -31,7 +31,7 @@ _VERIFY = ("--samples", "10", "--q_max", "8", "--w_max", "3",
 # case name -> command line without --out; every case exits 0
 CASES = {
     "weyl-n1": ("weyl", "--q_max", "12"),
-    "weyl-n2": ("weyl", *_RIESZ2, "--q_max", "6", "--d", "2"),
+    "weyl-n2": ("weyl", "--n", "2", "--q_max", "6", "--d", "2"),
     "approx-n1": ("approx", "--j_lo", "4", "--j_hi", "5", "--q_max", "2",
                   "--samples", "2"),
     "approx-n2": ("approx", *_RIESZ2, "--j_lo", "4", "--j_hi", "4",
@@ -40,7 +40,7 @@ CASES = {
     "phi-n2": ("phi", *_RIESZ2, "--j_lo", "3", "--j_hi", "3",
                "--profile_points", "4"),
     "arcs-n1": ("arcs", "--s_hi", "3"),
-    "arcs-n2": ("arcs", *_RIESZ2, "--s_hi", "2"),
+    "arcs-n2": ("arcs", "--n", "2", "--s_hi", "2"),
     "carleson-n1": ("carleson", "--trials", "3", "--radius", "4",
                     "--lambda_count", "16", "--carleson_j", "2",
                     "--carleson_j2", "3"),
@@ -48,7 +48,7 @@ CASES = {
                     "--lambda_count", "8", "--carleson_j", "2",
                     "--carleson_j2", "3"),
     "kappa-n1": ("kappa", "--q_max", "4", "--w_max", "2"),
-    "kappa-n2": ("kappa", *_RIESZ2, "--q_max", "3", "--w_max", "1"),
+    "kappa-n2": ("kappa", "--n", "2", "--q_max", "3", "--w_max", "1"),
     "verify-n1": ("verify", *_VERIFY),
     "verify-n2": ("verify", *_RIESZ2, *_VERIFY),
 }
