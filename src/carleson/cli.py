@@ -183,11 +183,15 @@ def cmd_phi(cfg: ExperimentConfig, out: Path) -> int:
     fam, quad = cfg.family(), cfg.quad()
     grid = _profile_grid(cfg)
     js = list(range(cfg.j_lo, cfg.j_hi + 1))
-    rows = ordered_map(
-        lambda j: [j, vdc_profile(fam, [j], grid, quad)[j]],
-        js,
+    # every j >= 2 probes the same scale-free (u, v), so those rows are
+    # bitwise equal: compute the first of them once
+    firsts = [j for j in js if j <= max(2, cfg.j_lo)]
+    values = dict(zip(firsts, ordered_map(
+        lambda j: vdc_profile(fam, [j], grid, quad)[j],
+        firsts,
         workers=cfg.workers,
-    )
+    )))
+    rows = [[j, values[min(j, firsts[-1])]] for j in js]
     write_csv(out / "phi_profile.csv", ["j", "c_vdc"], rows)
     best = max(r[1] for r in rows)
     write_json(
@@ -206,12 +210,6 @@ def cmd_phi(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_arcs(cfg: ExperimentConfig, out: Path) -> int:
-    cap = 6 if cfg.n == 1 else 4
-    if cfg.s_hi > cap:
-        raise ConfigError(
-            f"arcs census enumerates blocks only up to s = {cap} "
-            f"for n = {cfg.n}, got s_hi = {cfg.s_hi}"
-        )
     rows = []
     for s in range(1, cfg.s_hi + 1):
         block = rs_block(s)
@@ -575,6 +573,12 @@ def _check_dimension(command: str, cfg: ExperimentConfig) -> None:
     if cfg.n > 2 and planar:
         raise ConfigError(
             f"{', '.join(planar)}: only n <= 2 is supported, got n = {cfg.n}"
+        )
+    cap = 6 if cfg.n == 1 else 4
+    if command == "arcs" and cfg.s_hi > cap:
+        raise ConfigError(
+            f"arcs census enumerates blocks only up to s = {cap} "
+            f"for n = {cfg.n}, got s_hi = {cfg.s_hi}"
         )
 
 

@@ -19,13 +19,21 @@ the implementation:
   radial integrand extends continuously to r = 0 because Omega has zero
   spherical mean.
 
-* Phase-resolved panels: the radial domain is split until each panel
-  carries at most nodes_per_panel/resolution wavelengths of the phase
-  u r^(2d) +- |v| r, then fixed 16-node Gauss-Legendre is applied per
-  panel.  Refinement bisects every panel; the error estimate is the
-  difference between consecutive levels.  For n = 2 the spherical factor
-  is a periodic trapezoid whose node count also follows |v| and doubles
-  with each refinement.
+* One nested trapezoid rule: with r = r(s) for s in (0, 1) the integral
+  is sum_k w_k f(r(k/N)) over the interior nodes.  For j >= 2,
+  r = 1/2 + 3s/2; the radial integrand psi(r)/r vanishes with all its
+  derivatives at both ends, so the plain rule converges faster than any
+  power of 1/N.  For j = 1, r = 4 tau(s) with tau the smooth_step
+  transition, whose derivatives all vanish at s = 0; this makes the
+  mapped integrand flat at r = 0 whatever the parity of Omega (the plain
+  rule on [0, 4] is O(1/N^2) for even Omega).  Nodes whose mapped weight
+  underflows to 0 are dropped.  The first level's N follows the top
+  phase frequency (2d|u| r_max^(2d-1) + |v| cycles per unit r) plus a
+  floor for the cutoff's own spectrum; the sum over every second node
+  is the same rule at N/2, and the difference of the two is the error
+  estimate.  While it exceeds tol, N doubles.  For n = 2 the spherical
+  factor is a periodic trapezoid on the nodes k/m, with m following |v|;
+  it is halved in the estimate and doubles with N.
 
 Quadrature failures are loud: exceeding the node budget raises
 BudgetExceededError, running out of refinement depth raises
@@ -36,13 +44,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, ToleranceNotReachedError
-from .kernels import KernelFamily, eta, psi_profile
+from .kernels import KernelFamily, eta, psi_profile, smooth_step
 from .rationals import ArcParams
 
 __all__ = [
@@ -52,17 +59,25 @@ __all__ = [
     "vdc_profile",
 ]
 
-_NODES_PER_PANEL = 16
+# first-level intervals spent on the cutoff's own spectrum, whatever the phase
+_FLOOR = 128
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Adaptive quadrature parameters.
+    """Parameters of the nested trapezoid rule.
 
-    resolution   target nodes per wavelength of phase (>= 4)
-    max_depth    maximum number of panel bisection rounds
-    tol          absolute tolerance on the two-level difference
-    node_budget  hard cap on total quadrature nodes per evaluation
+    resolution   first-level density: resolution/2 nodes per wavelength
+                 of the fastest phase term (plus _FLOOR intervals), so
+                 the embedded half rule has resolution/4 >= 1
+    max_depth    number of times the node count may double after the
+                 first level
+    tol          absolute bound on |level - embedded half rule|, the
+                 error estimate
+    node_budget  hard cap on the nodes (radial times angular) of one
+                 evaluation over all its levels, checked before each
+                 level is built; at least the smallest level,
+                 _FLOOR - 1 nodes
     """
 
     resolution: float = 8.0
@@ -77,91 +92,59 @@ class QuadratureSpec:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
         if self.tol <= 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.node_budget < _NODES_PER_PANEL:
-            raise ValueError("node_budget too small for a single panel")
+        if self.node_budget < _FLOOR - 1:
+            raise ValueError(
+                f"node_budget too small for the smallest quadrature level "
+                f"({_FLOOR - 1} nodes)"
+            )
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(k: int):
-    x, w = np.polynomial.legendre.leggauss(k)
-    return x, w
+def _trapezoid_nodes(j: int, intervals: int):
+    """Interior nodes r(k/N) and weights w_k of the N-interval trapezoid
+    rule in s, r = 1/2 + 3s/2 for j >= 2 and r = 4 tau(s) for j = 1, from
+    k = first on; nodes of zero weight (both ends for j = 1) are dropped."""
+    s = np.arange(1, intervals) / intervals
+    if j >= 2:
+        return 0.5 + 1.5 * s, 1.5 / intervals, 1
+    a, b = smooth_step(s), smooth_step(1.0 - s)
+    w = 4.0 * a * b * (s**-2 + (1.0 - s) ** -2) / ((a + b) ** 2 * intervals)
+    lo, hi = np.flatnonzero(w)[[0, -1]]
+    keep = slice(lo, hi + 1)
+    return (4.0 * a / (a + b))[keep], w[keep], int(lo) + 1
 
 
-def _wavelengths(a: float, b: float, u: float, vmag: float, d: int) -> float:
-    """Upper bound on phase wavelengths of u r^(2d) +- vmag r across [a, b]."""
-    return abs(u) * (b ** (2 * d) - a ** (2 * d)) + vmag * (b - a)
-
-
-def _build_panels(
-    a: float, b: float, u: float, vmag: float, d: int, max_wl: float
-) -> list[tuple[float, float]]:
-    panels: list[tuple[float, float]] = []
-    stack = [(a, b)]
-    while stack:
-        lo, hi = stack.pop()
-        if _wavelengths(lo, hi, u, vmag, d) <= max_wl or (hi - lo) < 1e-12:
-            panels.append((lo, hi))
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi))
-            stack.append((lo, mid))
-    panels.sort()
-    return panels
-
-
-def _split_panels(panels: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    out = []
-    for lo, hi in panels:
-        mid = 0.5 * (lo + hi)
-        out.append((lo, mid))
-        out.append((mid, hi))
-    return out
-
-
-def _panel_nodes(panels: list[tuple[float, float]]):
-    x, w = _gauss_legendre(_NODES_PER_PANEL)
-    los = np.array([p[0] for p in panels])
-    his = np.array([p[1] for p in panels])
-    half = 0.5 * (his - los)
-    mid = 0.5 * (his + los)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def _eval_level_1d(panels, u, v, d, env_fn, om_plus, om_minus) -> complex:
-    r, w = _panel_nodes(panels)
-    env = env_fn(r)
-    radial = np.exp(2j * np.pi * (u * r ** (2 * d)))
-    ang = np.exp(2j * np.pi * (v * r))
-    bracket = om_plus * ang + om_minus * np.conj(ang)
-    return complex(np.sum(w * env * radial * bracket))
-
-
-def _eval_level_2d(panels, u, vvec, d, env_fn, fam, m_nodes) -> complex:
-    r, w = _panel_nodes(panels)
-    env = env_fn(r)
-    radial = np.exp(2j * np.pi * (u * r ** (2 * d)))
-    th = 2.0 * np.pi * (np.arange(m_nodes) + 0.5) / m_nodes
+def _trapezoid(fam, j, u, v, intervals, m_nodes) -> tuple[complex, complex]:
+    """The rule with the given intervals (and m_nodes angular nodes for
+    n = 2) and its embedded half rule on the even k (and every second
+    angular node)."""
+    r, w, first = _trapezoid_nodes(j, intervals)
+    cut = psi_profile(r) if j >= 2 else eta(r / 2.0)
+    f = w * cut / r * np.exp(2j * np.pi * (u * r ** (2 * fam.d)))
+    if fam.n == 1:
+        om_p, om_m = fam.omega(np.array([[1.0], [-1.0]]))
+        ang = np.exp(2j * np.pi * (v[0] * r))
+        f = f * (om_p * ang + om_m * np.conj(ang))
+        return complex(f.sum()), complex(2.0 * f[first % 2 :: 2].sum())
+    th = 2.0 * np.pi * np.arange(m_nodes) / m_nodes
     circ = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    om = fam.omega(circ)
-    proj = circ @ np.asarray(vvec, dtype=np.float64)
-    total = 0.0 + 0.0j
-    block = max(1, (1 << 20) // max(1, m_nodes))
+    om = fam.omega(circ) * (2.0 * np.pi / m_nodes)
+    proj = circ @ v
+    # near r = 0 the j = 1 factor e(r v.t) - 1 keeps its relative accuracy;
+    # the dropped 1 integrates Omega to its zero mean
+    wave = np.expm1 if j == 1 else np.exp
+    full = half = 0.0 + 0.0j
+    block = max(2, (1 << 20) // m_nodes) // 2 * 2
     for start in range(0, r.shape[0], block):
-        rr = r[start : start + block]
-        inner = (np.exp(2j * np.pi * (rr[:, None] * proj[None, :])) * om).sum(
-            axis=1
-        ) * (2.0 * np.pi / m_nodes)
-        total += complex(
-            np.sum(w[start : start + block] * env[start : start + block]
-                   * radial[start : start + block] * inner)
-        )
-    return total
+        rows = slice(start, start + block)
+        terms = wave(2j * np.pi * (r[rows, None] * proj[None, :])) * om
+        even = terms[:, ::2].sum(axis=1)
+        full += complex(np.sum(f[rows] * (even + terms[:, 1::2].sum(axis=1))))
+        half += complex(4.0 * np.sum((f[rows] * even)[first % 2 :: 2]))
+    return full, half
 
 
 def phi(fam: KernelFamily, j: int, lam: float, xi, quad: QuadratureSpec) -> complex:
-    """Phi_{j,lam}(xi), adaptively integrated to quad.tol.
+    """Phi_{j,lam}(xi) by the nested trapezoid rule, to quad.tol.
 
     Supports n in {1, 2}.  Raises BudgetExceededError /
     ToleranceNotReachedError when the quadrature cannot deliver.
@@ -175,67 +158,41 @@ def phi(fam: KernelFamily, j: int, lam: float, xi, quad: QuadratureSpec) -> comp
         raise NotImplementedError("oscillatory integrals support n <= 2")
 
     if j >= 2:
-        u = 2.0 ** (2 * fam.d * j) * lam
-        v = 2.0**j * xi
-        lo, hi = 0.5, 2.0
-
-        def env_fn(r):
-            return psi_profile(r) / r**fam.n * r ** (fam.n - 1)
-
+        u, v, hi, span = 2.0 ** (2 * fam.d * j) * lam, 2.0**j * xi, 2.0, 1.5
     else:
-        u = float(lam)
-        v = xi
-        lo, hi = 0.0, 4.0
-
-        def env_fn(r):
-            return eta(r / 2.0) / r**fam.n * r ** (fam.n - 1)
-
+        # span is max dr/ds = 4 max tau' = 8
+        u, v, hi, span = float(lam), xi, 4.0, 8.0
     vmag = float(np.linalg.norm(v))
-    max_wl = _NODES_PER_PANEL / quad.resolution
-    m_nodes = int(math.ceil(quad.resolution * 2.0 * hi * vmag)) + 32
-    # estimate the panel count before building: a huge phase would blow the
-    # panel stack long before the node budget check ran
-    est = (_wavelengths(lo, hi, u, vmag, fam.d) / max_wl + 1.0) * _NODES_PER_PANEL
+    cycles = span * (2 * fam.d * abs(u) * hi ** (2 * fam.d - 1) + vmag)
+    half_intervals = quad.resolution / 4.0 * cycles + _FLOOR / 2
+    m_nodes = 1
     if fam.n == 2:
-        est *= m_nodes
+        m_nodes = 2 * int(math.ceil(quad.resolution * hi * vmag)) + 32
+    # estimate the first level before building it: a huge phase would
+    # allocate far more than the node budget
+    est = (2.0 * half_intervals - 1.0) * m_nodes
     if est > quad.node_budget:
         raise BudgetExceededError(
             f"initial quadrature level needs ~{est:.3g} nodes "
             f"(> {quad.node_budget})"
         )
-    panels = _build_panels(lo, hi, u, vmag, fam.d, max_wl)
-
-    def level_value(p, m_nodes):
-        if fam.n == 1:
-            om_p = float(fam.omega(np.array([[1.0]]))[0])
-            om_m = float(fam.omega(np.array([[-1.0]]))[0])
-            return _eval_level_1d(p, u, float(v[0]), fam.d, env_fn, om_p, om_m)
-        return _eval_level_2d(p, u, v, fam.d, env_fn, fam, m_nodes)
-
-    def level_nodes(p, m_nodes):
-        return len(p) * _NODES_PER_PANEL * (m_nodes if fam.n == 2 else 1)
-
-    used = level_nodes(panels, m_nodes)
-    if used > quad.node_budget:
-        raise BudgetExceededError(
-            f"initial quadrature level needs {used} nodes (> {quad.node_budget})"
-        )
-    value = level_value(panels, m_nodes)
-    estimate = math.inf
-    for _ in range(quad.max_depth):
-        panels = _split_panels(panels)
-        m_nodes *= 2
-        step = level_nodes(panels, m_nodes)
+    intervals = 2 * int(math.ceil(half_intervals))
+    used = 0
+    for depth in range(quad.max_depth + 1):
+        step = (intervals - 1) * m_nodes
         if used + step > quad.node_budget:
             raise BudgetExceededError(
-                f"refinement would use {used + step} nodes (> {quad.node_budget})"
+                f"quadrature level {depth} would bring the nodes to "
+                f"{used + step} (> {quad.node_budget})"
             )
         used += step
-        refined = level_value(panels, m_nodes)
-        estimate = abs(refined - value)
-        value = refined
+        value, half = _trapezoid(fam, j, u, v, intervals, m_nodes)
+        estimate = abs(value - half)
         if estimate <= quad.tol:
             return value
+        intervals *= 2
+        if fam.n == 2:
+            m_nodes *= 2
     raise ToleranceNotReachedError(
         f"refinement limit {quad.max_depth} reached with estimate "
         f"{estimate:.3e} > tol {quad.tol:.3e}",

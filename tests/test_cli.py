@@ -5,6 +5,7 @@ with its documented exit codes.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,32 @@ def test_exit_code_budget_error(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("budget error:") and err.count("\n") == 1
+
+
+def test_approx_budget_refused_before_allocating(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(tmp_path, "approx", samples=2,
+                          quad_node_budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    # the first level is refused from its estimated size; a level within
+    # the budget takes 16 kB, and 8 MB leaves room for the lattice arrays
+    assert peak < 8 << 20
+
+
+def test_arcs_s_hi_cap_refused_before_out(tmp_path, capsys):
+    for n, s_hi in ((1, 7), (2, 5)):
+        code, out = run_cli(tmp_path, "arcs", n=n, s_hi=s_hi)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "s_hi" in err
+        assert not out.exists()
 
 
 def test_worker_count_never_changes_bytes(tmp_path):

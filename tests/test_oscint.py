@@ -174,3 +174,85 @@ def test_quadrature_spec_validation():
                 dict(tol=0.0), dict(node_budget=4)):
         with pytest.raises(ValueError):
             QuadratureSpec(**bad)
+
+
+# ==================== the regime approx drives ====================
+
+
+def oracle_phi_j1(fam, lam, xi, mr=40001, mt=128):
+    """Dense Simpson integration of the j = 1 piece over r in [0, 4],
+    written from the definition.  The sphere is {+1, -1} for n = 1 and
+    mt midpoints for n = 2; it integrates e(r xi.t) - 1 (np.expm1)
+    against Omega, which has zero mean, so the factor keeps its relative
+    accuracy as r -> 0, and the r = 0 node takes the integrand's limit
+    (evaluated at r = 1e-300)."""
+    r = np.linspace(0.0, 4.0, mr)
+    r[0] = 1e-300
+    if fam.n == 1:
+        pts, dt = np.array([[1.0], [-1.0]]), 1.0
+    else:
+        th = 2.0 * np.pi * (np.arange(mt) + 0.5) / mt
+        pts, dt = np.stack([np.cos(th), np.sin(th)], axis=-1), 2.0 * np.pi / mt
+    om = fam.omega(pts) * dt
+    proj = pts @ np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    inner = np.concatenate([
+        (np.expm1(2j * np.pi * (rr[:, None] * proj[None, :])) * om).sum(axis=1)
+        for rr in np.array_split(r, 16)
+    ])
+    f = eta(r / 2.0) / r * np.exp(2j * np.pi * lam * r ** (2 * fam.d)) * inner
+    return _simpson(f, r[1] - r[0])
+
+
+# approx reaches |u| = 0.9 * 2^11 and |v| = 0.45 * 2^11 at j = 11; the
+# middle cases put a stationary point of the phase inside the annulus
+@pytest.mark.parametrize("d,u,v", [
+    (1, 1840.0, 920.0),
+    (1, 610.0, -920.0),
+    (2, 200.0, 920.0),
+    (2, -1840.0, 920.0),
+])
+def test_phi_matches_dense_oracle_at_approx_phases(d, u, v):
+    # the oracle's own rounding of its unscaled phase is about 2e-13
+    fam = make_kernel("sign", 1, d)
+    lam, xi = u * 2.0 ** (-22 * d), v * 2.0**-11
+    got = phi(fam, 11, lam, xi, QUAD)
+    assert abs(got - oracle_phi_1d(fam, 11, lam, xi, m=1_000_001)) < 1e-12
+
+
+# harmonic m = 2 has an even Omega, for which the radial integrand of
+# the cumulative piece is odd in r and the plain trapezoid rule on [0, 4]
+# converges only like O(h^2)
+@pytest.mark.parametrize("name,n,param,lam,xi", [
+    ("sign", 1, 0, 0.3, [0.7]),
+    ("sign", 1, 0, 2.0, [-5.0]),
+    ("riesz", 2, 0, 0.3, [0.7, -0.2]),
+    ("riesz", 2, 1, 1.1, [1.5, 1.0]),
+    ("harmonic", 2, 2, 0.3, [0.7, -0.2]),
+    ("harmonic", 2, 2, 1.1, [1.5, 1.0]),
+])
+def test_phi_j1_matches_dense_oracle(name, n, param, lam, xi):
+    # measured below 2e-15; rounding in the n = 2 angular sum, amplified
+    # by the 1/r of the integrand near r = 0, would show at about 2e-13
+    fam = make_kernel(name, n, 1, param)
+    got = phi(fam, 1, lam, np.array(xi), QUAD)
+    assert abs(got - oracle_phi_j1(fam, lam, xi)) < 1e-13
+
+
+@pytest.mark.parametrize("name,n,d,param,sign", [
+    ("sign", 1, 1, 0, -1.0),
+    ("sign", 1, 2, 0, -1.0),
+    ("riesz", 2, 1, 0, -1.0),
+    ("harmonic", 2, 1, 2, 1.0),
+])
+def test_phi_parity(name, n, d, param, sign):
+    # Phi(-xi) = -Phi(xi) for odd Omega, +Phi(xi) for even Omega
+    fam = make_kernel(name, n, d, param)
+    rng = np.random.default_rng((5, n, d, param))
+    j = 5
+    worst = 0.0
+    for _ in range(20):
+        lam = rng.uniform(-8.0, 8.0) * 2.0 ** (-2 * d * j)
+        xi = rng.uniform(-8.0, 8.0, size=n) * 2.0**-j
+        worst = max(worst, abs(phi(fam, j, lam, -xi, QUAD)
+                               - sign * phi(fam, j, lam, xi, QUAD)))
+    assert worst < 1e-12
