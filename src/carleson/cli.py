@@ -182,16 +182,8 @@ def _profile_grid(cfg: ExperimentConfig) -> list[tuple[float, np.ndarray]]:
 def cmd_phi(cfg: ExperimentConfig, out: Path) -> int:
     fam, quad = cfg.family(), cfg.quad()
     grid = _profile_grid(cfg)
-    js = list(range(cfg.j_lo, cfg.j_hi + 1))
-    # every j >= 2 probes the same scale-free (u, v), so those rows are
-    # bitwise equal: compute the first of them once
-    firsts = [j for j in js if j <= max(2, cfg.j_lo)]
-    values = dict(zip(firsts, ordered_map(
-        lambda j: vdc_profile(fam, [j], grid, quad)[j],
-        firsts,
-        workers=cfg.workers,
-    )))
-    rows = [[j, values[min(j, firsts[-1])]] for j in js]
+    profile = vdc_profile(fam, range(cfg.j_lo, cfg.j_hi + 1), grid, quad)
+    rows = [[j, value] for j, value in profile.items()]
     write_csv(out / "phi_profile.csv", ["j", "c_vdc"], rows)
     best = max(r[1] for r in rows)
     write_json(

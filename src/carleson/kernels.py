@@ -117,6 +117,12 @@ class KernelFamily:
             if self.param < 1:
                 raise ValueError("harmonic kernel requires degree param >= 1")
 
+    @property
+    def degree(self) -> int:
+        """Spherical-harmonic degree of Omega: the angular frequency that an
+        equispaced rule on the sphere must resolve."""
+        return self.param if self.name == "harmonic" else 1
+
     def omega(self, x) -> np.ndarray:
         """Spherical part evaluated at points x (shape (..., n)); degree-0
         homogeneous, so any nonzero scaling of x gives the same value."""

@@ -32,8 +32,9 @@ the implementation:
   floor for the cutoff's own spectrum; the sum over every second node
   is the same rule at N/2, and the difference of the two is the error
   estimate.  While it exceeds tol, N doubles.  For n = 2 the spherical
-  factor is a periodic trapezoid on the nodes k/m, with m following |v|;
-  it is halved in the estimate and doubles with N.
+  factor is a periodic trapezoid on the nodes k/m, with m following |v|
+  and the degree of Omega; it is halved in the estimate and doubles with
+  N.
 
 Quadrature failures are loud: exceeding the node budget raises
 BudgetExceededError, running out of refinement depth raises
@@ -167,15 +168,12 @@ def phi(fam: KernelFamily, j: int, lam: float, xi, quad: QuadratureSpec) -> comp
     half_intervals = quad.resolution / 4.0 * cycles + _FLOOR / 2
     m_nodes = 1
     if fam.n == 2:
-        m_nodes = 2 * int(math.ceil(quad.resolution * hi * vmag)) + 32
-    # estimate the first level before building it: a huge phase would
-    # allocate far more than the node budget
-    est = (2.0 * half_intervals - 1.0) * m_nodes
-    if est > quad.node_budget:
-        raise BudgetExceededError(
-            f"initial quadrature level needs ~{est:.3g} nodes "
-            f"(> {quad.node_budget})"
-        )
+        # the half rule's m/2 nodes cover the band 2 pi hi |v| of e(r v.t)
+        # and the degree of Omega; were Omega's degree a multiple of both
+        # node counts, the two rules would alias it alike and the estimate
+        # would miss the error
+        m_nodes = (2 * int(math.ceil(quad.resolution * hi * vmag))
+                   + 4 * max(fam.degree, 8))
     intervals = 2 * int(math.ceil(half_intervals))
     used = 0
     for depth in range(quad.max_depth + 1):
@@ -232,9 +230,15 @@ def vdc_profile(
 
     With scaled=True the grid holds (u, v) points interpreted per scale as
     lam = u 2^(-2dj), xi = v 2^(-j), making rows directly comparable; with
-    scaled=False the grid holds raw (lam, xi) applied to every j."""
+    scaled=False the grid holds raw (lam, xi) applied to every j.  Scaled
+    rows with j >= 2 probe the same (u, v), so they are bitwise equal by
+    dilation invariance; the first of them is computed and copied."""
     out: dict[int, float] = {}
+    shared = None
     for j in j_values:
+        if scaled and j >= 2 and shared is not None:
+            out[j] = shared
+            continue
         best = 0.0
         for entry in grid:
             uu, vv = entry
@@ -252,4 +256,6 @@ def vdc_profile(
             ) ** (1.0 / (2 * fam.d))
             best = max(best, mag * factor)
         out[j] = best
+        if scaled and j >= 2:
+            shared = best
     return out

@@ -327,8 +327,9 @@ def test_approx_budget_refused_before_allocating(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("budget error:") and err.count("\n") == 1
     assert "Traceback" not in err
-    # the first level is refused from its estimated size; a level within
-    # the budget takes 16 kB, and 8 MB leaves room for the lattice arrays
+    # the first level is refused from its size before it is built; a
+    # level within the budget takes 16 kB, and 8 MB leaves room for the
+    # lattice arrays
     assert peak < 8 << 20
 
 

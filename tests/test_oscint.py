@@ -256,3 +256,12 @@ def test_phi_parity(name, n, d, param, sign):
         worst = max(worst, abs(phi(fam, j, lam, -xi, QUAD)
                                - sign * phi(fam, j, lam, xi, QUAD)))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("u", [0.0, 10.0, 50.0])
+def test_angular_rule_resolves_the_degree_of_omega(u):
+    # at xi = 0 the angular factor is Omega = cos(32 theta) alone, of zero
+    # mean, so Phi = 0; an angular rule of 32 nodes and its 16-node half
+    # read Omega as the constant 1 alike, and the error estimate misses it
+    fam = make_kernel("harmonic", 2, 1, 32)
+    assert abs(phi(fam, 3, u * 2.0**-6, np.zeros(2), QUAD)) < QUAD.tol
