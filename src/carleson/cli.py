@@ -45,6 +45,7 @@ from .kernels import kernel_value, psi_profile
 from .multipliers import (
     approx_error,
     bsharp_set,
+    enum_cap,
     factorization_residual,
     lsj_terms,
     m_lattice,
@@ -566,7 +567,7 @@ def _check_dimension(command: str, cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"{', '.join(planar)}: only n <= 2 is supported, got n = {cfg.n}"
         )
-    cap = 6 if cfg.n == 1 else 4
+    cap = enum_cap(cfg.n)
     if command == "arcs" and cfg.s_hi > cap:
         raise ConfigError(
             f"arcs census enumerates blocks only up to s = {cap} "
@@ -610,9 +611,6 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceededError, ToleranceNotReachedError) as exc:

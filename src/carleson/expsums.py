@@ -46,8 +46,6 @@ class WeylSumResult:
     """Normalized complete sum; |value| <= 1 always."""
 
     value: complex
-    q: int
-    terms: int
 
 
 @lru_cache(maxsize=256)
@@ -71,11 +69,10 @@ def complete_weyl_sum(
       "auto"     coordinate-factored product of 1-d quadratic sums when
                  d = 1 (the phase a|r|^2 + b.r splits), direct otherwise
       "direct"   always the n-dimensional residue histogram
-      "factored" force the d = 1 product (error if d != 1)
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if method not in ("auto", "direct", "factored"):
+    if method not in ("auto", "direct"):
         raise ValueError(f"unknown method {method!r}")
     q, a, b, n = pair.q, pair.a, pair.b, pair.n
     terms = q**n
@@ -83,16 +80,14 @@ def complete_weyl_sum(
         raise BudgetExceededError(
             f"complete sum needs q^n = {terms} terms (> {budget})"
         )
-    if method == "factored" and d != 1:
-        raise ValueError("factored method requires d = 1")
-    if d == 1 and method != "direct":
+    if d == 1 and method == "auto":
         value = 1.0 + 0.0j
         for bk in b:
             counts = accel.weyl_phase_counts(q, 1, 1, a, np.array([bk], np.int64))
             value *= _sum_from_counts(counts, q, q)
-        return WeylSumResult(value=value, q=q, terms=terms)
+        return WeylSumResult(value=value)
     counts = accel.weyl_phase_counts(q, d, n, a, np.array(b, np.int64))
-    return WeylSumResult(value=_sum_from_counts(counts, q, terms), q=q, terms=terms)
+    return WeylSumResult(value=_sum_from_counts(counts, q, terms))
 
 
 @lru_cache(maxsize=200_000)
@@ -142,7 +137,7 @@ def _gcd_grid(base: int, q: int, n: int) -> np.ndarray:
 
 
 def verify_orthogonality(
-    q_max: int, d: int, n: int, tol: float = 1e-9, q_min: int = 2
+    q_max: int, d: int, n: int, tol: float = 1e-9
 ) -> OrthogonalityReport:
     """Check S(a/q, b/q) = 0 for every canonical pair with q <= q_max,
     gcd(a, q) > 1 and gcd(a, b, q) = 1.
@@ -153,7 +148,7 @@ def verify_orthogonality(
     max_abs = 0.0
     worst = None
     violations = 0
-    for q in range(max(2, q_min), q_max + 1):
+    for q in range(2, q_max + 1):
         for a in range(q):
             ga = math.gcd(a, q)
             if ga == 1:
@@ -185,21 +180,15 @@ class DecayFit:
     delta_hat: float
     table: tuple[tuple[int, float], ...]
 
-    def max_abs(self, q: int) -> float:
-        for qq, m in self.table:
-            if qq == q:
-                return m
-        raise KeyError(q)
 
-
-def fit_decay_exponent(q_max: int, d: int, n: int, q_min: int = 1) -> DecayFit:
+def fit_decay_exponent(q_max: int, d: int, n: int) -> DecayFit:
     """Least-squares slope of log max_b,gcd(a,q)=1 |S| against log q.
 
     Returns delta_hat such that max |S| ~ q^(-delta_hat), together with
     the per-q maxima.  Rows with vanishing maximum (never observed in the
     supported ranges) are excluded from the fit."""
     rows: list[tuple[int, float]] = []
-    for q in range(q_min, q_max + 1):
+    for q in range(1, q_max + 1):
         best = 0.0
         for a in range(q):
             if math.gcd(a, q) != 1:

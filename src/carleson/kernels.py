@@ -96,7 +96,6 @@ class KernelFamily:
     n: int
     d: int
     param: int = 0
-    j_min: int = 1
 
     def __post_init__(self):
         if self.name not in _OMEGA_NAMES:
@@ -105,8 +104,6 @@ class KernelFamily:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.j_min != 1:
-            raise ValueError("the decomposition starts at j_min = 1")
         if self.name == "sign" and self.n != 1:
             raise ValueError("sign kernel requires n = 1")
         if self.name == "riesz" and not 0 <= self.param < self.n:
@@ -166,8 +163,8 @@ def kernel_value(fam: KernelFamily, x) -> np.ndarray:
 
 def kernel_piece(fam: KernelFamily, j: int, x) -> np.ndarray:
     """Dyadic piece K_j at points x; supported in {|x| <= 2^(j+1)}."""
-    if j < fam.j_min:
-        raise ValueError(f"j must be >= {fam.j_min}, got {j}")
+    if j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
     x = _as_points(x, fam.n)
     r = np.sqrt((x * x).sum(axis=-1))
     if j == 1:

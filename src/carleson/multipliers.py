@@ -56,6 +56,7 @@ from .rationals import (
 __all__ = [
     "CutoffSpec",
     "make_cutoffs",
+    "enum_cap",
     "m_lattice",
     "approx_error",
     "lsj_terms",
@@ -68,9 +69,11 @@ __all__ = [
     "factorization_residual",
 ]
 
-# full-enumeration caps for the arc sums; beyond these the unique active
-# window is located directly instead of scanning the whole block
-_ENUM_CAP_S = {1: 6, 2: 4}
+
+def enum_cap(n: int) -> int:
+    """Largest level s whose blocks the arc sums and the arcs census
+    enumerate in full; higher levels are refused."""
+    return 6 if n == 1 else 4
 
 
 # ==================== smooth frequency cutoffs ====================
@@ -83,15 +86,12 @@ class CutoffSpec:
     chi:       1 for |xi| <= plateau, 0 for |xi| >= support
     chi_tilde: 1 for |xi| <= tilde_plateau, 0 for |xi| >= tilde_support
 
-    The scaled versions substitute 2^(10s) * xi.  The factorization
-    identity needs chi_tilde = 1 wherever chi != 0, i.e.
-    tilde_plateau >= support; the constructor does not force this so a
-    deliberately broken pair can be injected into the verification
-    suite, but make_cutoffs defaults satisfy it.
+    chi_s and chi_tilde_s evaluate them at 2^(10s) * xi.  The
+    factorization identity needs chi_tilde = 1 wherever chi != 0, i.e.
+    tilde_plateau >= support; make_cutoffs defaults satisfy it.
     """
 
     s: int
-    n: int
     plateau: float
     support: float
     tilde_plateau: float
@@ -111,12 +111,6 @@ class CutoffSpec:
     def _radial(self, x, lo: float, hi: float):
         t = np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=np.float64)))
         return float(_transition(np.asarray(t), lo, hi))
-
-    def chi(self, x) -> float:
-        return self._radial(x, self.plateau, self.support)
-
-    def chi_tilde(self, x) -> float:
-        return self._radial(x, self.tilde_plateau, self.tilde_support)
 
     def chi_s(self, x) -> float:
         return self._radial(x, self.plateau * 2.0 ** (-10 * self.s),
@@ -158,7 +152,6 @@ def make_cutoffs(
             )
     return CutoffSpec(
         s=s,
-        n=n,
         plateau=plateau,
         support=support,
         tilde_plateau=tilde_plateau,
@@ -346,12 +339,6 @@ def E_j(
 # ==================== symbol-valued arc operators ====================
 
 
-def _nearest_fraction(x: float, max_den: int) -> Fraction:
-    """Closest fraction to x with denominator <= max_den (exact; ties
-    resolved by Fraction.limit_denominator deterministically)."""
-    return Fraction(x).limit_denominator(max_den)
-
-
 def bsharp_set(s: int, n: int) -> list[tuple[Fraction, ...]]:
     """The distinct frequency values of the level-s blocks: vectors of
     reduced fractions in [0,1)^n whose componentwise-lcm denominator
@@ -401,47 +388,29 @@ def script_L(
     where B_s(alpha) holds the beta whose joint denominator
     lcm(den(alpha), den(beta_1..n)) falls in [2^(s-1), 2^s); the sum is
     empty (0) when den(alpha) >= 2^s.  The symbol handle receives the
-    wrapped offset.  For blocks beyond the enumeration cap the unique
-    beta whose cutoff window can contain xi is located directly.
+    wrapped offset.  Each block is enumerated in full, so s above
+    enum_cap(n) is refused.
     """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    if not 1 <= s <= enum_cap(n):
+        raise ValueError(f"need 1 <= s <= {enum_cap(n)} for n = {n}, got {s}")
     xi = _as_xi(xi, n)
     cut = cut.at_scale(s)
     if alpha.den >= (1 << s):
         return 0.0 + 0.0j
-    if s <= _ENUM_CAP_S.get(n, 0):
-        total = 0.0 + 0.0j
-        for q in rs_block(s):
-            if q % alpha.den:
+    total = 0.0 + 0.0j
+    for q in rs_block(s):
+        if q % alpha.den:
+            continue
+        a = alpha.num * (q // alpha.den)
+        for b in np.ndindex(*(q,) * n):
+            if math.gcd(a, *b, q) != 1:
                 continue
-            a = alpha.num * (q // alpha.den)
-            for b in np.ndindex(*(q,) * n):
-                if math.gcd(a, *b, q) != 1:
-                    continue
-                off = _wrap_vec(xi - np.array(b, dtype=np.float64) / q)
-                chi_val = cut.chi_s(off)
-                if chi_val == 0.0:
-                    continue
-                total += _weyl_value(a, tuple(b), q, d) * m(off) * chi_val
-        return total
-    # window path: at most one beta in the whole block can activate chi_s
-    top = (1 << s) - 1
-    fracs = [_nearest_fraction(float(t), top) for t in xi]
-    lden = alpha.den
-    for f in fracs:
-        lden = lden * f.denominator // math.gcd(lden, f.denominator)
-    if not (1 << (s - 1)) <= lden < (1 << s):
-        return 0.0 + 0.0j
-    beta = np.array([float(f) for f in fracs])
-    off = _wrap_vec(xi - beta)
-    chi_val = cut.chi_s(off)
-    if chi_val == 0.0:
-        return 0.0 + 0.0j
-    q = lden
-    a = alpha.num * (q // alpha.den)
-    b = tuple((f.numerator * (q // f.denominator)) % q for f in fracs)
-    return _weyl_value(a, b, q, d) * m(off) * chi_val
+            off = _wrap_vec(xi - np.array(b, dtype=np.float64) / q)
+            chi_val = cut.chi_s(off)
+            if chi_val == 0.0:
+                continue
+            total += _weyl_value(a, tuple(b), q, d) * m(off) * chi_val
+    return total
 
 
 def sharp_terms(
@@ -452,28 +421,18 @@ def sharp_terms(
     n: int,
 ) -> list[tuple[tuple[Fraction, ...], complex, float]]:
     """Candidate terms of script_L_sharp with nonzero wide-cutoff
-    factor (disjointness holds when at most one comes back)."""
+    factor (disjointness holds when at most one comes back), over the
+    whole of Bsharp_s; s above enum_cap(n) is refused."""
+    if not 1 <= s <= enum_cap(n):
+        raise ValueError(f"need 1 <= s <= {enum_cap(n)} for n = {n}, got {s}")
     xi = _as_xi(xi, n)
     cut = cut.at_scale(s)
     out = []
-    if s <= _ENUM_CAP_S.get(n, 0):
-        for beta in bsharp_set(s, n):
-            off = _wrap_vec(xi - np.array([float(f) for f in beta]))
-            w = cut.chi_tilde_s(off)
-            if w != 0.0:
-                out.append((beta, m(off), w))
-        return out
-    top = (1 << s) - 1
-    fracs = tuple(_nearest_fraction(float(t), top) for t in xi)
-    lden = 1
-    for f in fracs:
-        lden = lden * f.denominator // math.gcd(lden, f.denominator)
-    if lden > top:
-        return out
-    off = _wrap_vec(xi - np.array([float(f) for f in fracs]))
-    w = cut.chi_tilde_s(off)
-    if w != 0.0:
-        out.append((fracs, m(off), w))
+    for beta in bsharp_set(s, n):
+        off = _wrap_vec(xi - np.array([float(f) for f in beta]))
+        w = cut.chi_tilde_s(off)
+        if w != 0.0:
+            out.append((beta, m(off), w))
     return out
 
 

@@ -76,33 +76,8 @@ class LatticeFunction:
     def norm2(self) -> float:
         return float(np.linalg.norm(self.values.ravel()))
 
-    def norm1(self) -> float:
-        return float(np.abs(self.values).sum())
-
     def norm_inf(self) -> float:
         return float(np.abs(self.values).max()) if self.values.size else 0.0
-
-    def index_of(self, x) -> tuple[int, ...]:
-        x = np.asarray(x, dtype=np.int64)
-        idx = tuple(
-            int(x[k] - self.center[k] + self.halfwidth[k])
-            for k in range(self.n)
-        )
-        for k, i in enumerate(idx):
-            if not 0 <= i < 2 * self.halfwidth[k] + 1:
-                raise IndexError(f"point {tuple(x)} outside support box")
-        return idx
-
-    def value_at(self, x) -> complex:
-        try:
-            return complex(self.values[self.index_of(x)])
-        except IndexError:
-            return 0.0 + 0.0j
-
-    def translated(self, shift) -> "LatticeFunction":
-        shift = tuple(int(t) for t in shift)
-        center = tuple(c + t for c, t in zip(self.center, shift))
-        return LatticeFunction(self.n, center, self.halfwidth, self.values)
 
 
 def delta_function(n: int, radius: int = 0) -> LatticeFunction:
@@ -141,17 +116,6 @@ class LambdaGrid:
     def uniform(cls, M: int) -> "LambdaGrid":
         return cls(M)
 
-    def refined(self, factor: int) -> "LambdaGrid":
-        """The grid with M*factor points; it keeps every existing point
-        (i/M reappears as i*factor/(M*factor)), so suprema never drop."""
-        if factor < 1:
-            raise ValueError(f"factor must be >= 1, got {factor}")
-        return LambdaGrid(self.M * factor)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(i / self.M for i in range(self.M))
-
     @property
     def spacing(self) -> float:
         return 1.0 / self.M
@@ -178,7 +142,6 @@ class CarlesonResult:
     argmax_lambda: np.ndarray
     argmax_index: np.ndarray
     grid_error_bound: float
-    J: int
 
 
 def carleson_apply(
@@ -250,7 +213,6 @@ def carleson_apply(
         argmax_lambda=best_idx / M,
         argmax_index=best_idx,
         grid_error_bound=bound,
-        J=J,
     )
 
 

@@ -87,12 +87,12 @@ class QuadratureSpec:
     node_budget: int = 1 << 22
 
     def __post_init__(self):
-        if self.resolution < 4.0:
-            raise ValueError(f"resolution must be >= 4, got {self.resolution}")
+        if not 4.0 <= self.resolution < math.inf:
+            raise ValueError(f"need 4 <= resolution < inf, got {self.resolution}")
         if self.max_depth < 0:
             raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"need 0 < tol < inf, got {self.tol}")
         if self.node_budget < _FLOOR - 1:
             raise ValueError(
                 f"node_budget too small for the smallest quadrature level "
@@ -228,26 +228,23 @@ def vdc_profile(
 ) -> dict[int, float]:
     """Per-j maxima of |Phi_{j,lam}(xi)| * (1 + 2^(2dj)|lam| + 2^j|xi|)^(1/(2d)).
 
-    With scaled=True the grid holds (u, v) points interpreted per scale as
-    lam = u 2^(-2dj), xi = v 2^(-j), making rows directly comparable; with
-    scaled=False the grid holds raw (lam, xi) applied to every j.  Scaled
-    rows with j >= 2 probe the same (u, v), so they are bitwise equal by
-    dilation invariance; the first of them is computed and copied."""
+    The grid holds (u, v) points interpreted per scale as lam = u 2^(-2dj),
+    xi = v 2^(-j), making rows directly comparable; scaled=False (raw
+    (lam, xi) points) is refused.  Rows with j >= 2 probe the same (u, v),
+    so they are bitwise equal by dilation invariance; the first of them is
+    computed and copied."""
+    if not scaled:
+        raise ValueError("vdc_profile takes scaled (u, v) grids only")
     out: dict[int, float] = {}
     shared = None
     for j in j_values:
-        if scaled and j >= 2 and shared is not None:
+        if j >= 2 and shared is not None:
             out[j] = shared
             continue
         best = 0.0
-        for entry in grid:
-            uu, vv = entry
-            vv = np.atleast_1d(np.asarray(vv, dtype=np.float64))
-            if scaled:
-                lam = float(uu) * 2.0 ** (-2 * fam.d * j)
-                xi = vv * 2.0**-j
-            else:
-                lam, xi = float(uu), vv
+        for uu, vv in grid:
+            lam = float(uu) * 2.0 ** (-2 * fam.d * j)
+            xi = np.atleast_1d(np.asarray(vv, dtype=np.float64)) * 2.0**-j
             mag = abs(phi(fam, j, lam, xi, quad))
             factor = (
                 1.0
@@ -256,6 +253,6 @@ def vdc_profile(
             ) ** (1.0 / (2 * fam.d))
             best = max(best, mag * factor)
         out[j] = best
-        if scaled and j >= 2:
+        if j >= 2:
             shared = best
     return out

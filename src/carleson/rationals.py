@@ -56,10 +56,6 @@ class ReducedRational:
         if math.gcd(self.num, self.den) != 1:
             raise ValueError(f"{self.num}/{self.den} is not reduced")
 
-    @property
-    def value(self) -> float:
-        return self.num / self.den
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
 
@@ -97,30 +93,16 @@ class ArcPair:
     def n(self) -> int:
         return len(self.b)
 
-    @property
-    def alpha(self) -> float:
-        return self.a / self.q
-
-    @property
-    def beta(self) -> np.ndarray:
-        return np.array(self.b, dtype=np.float64) / self.q
-
-    def alpha_fraction(self) -> Fraction:
-        return Fraction(self.a, self.q)
-
-    def beta_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(bk, self.q) for bk in self.b)
-
 
 @dataclass(frozen=True)
 class ArcParams:
     """Shared arc-geometry parameters.
 
     eps1 controls the modulation arcs (denominators below 2^floor(j*eps1),
-    window half-width 2^(-2dj+eps1*j)); eps2 controls the joint
-    frequency-modulation neighborhoods.  The classical regime keeps
-    eps1 < eps2 = 2^-5; desk-scale sweeps at small j may rescale both
-    upward jointly with j, so validation only requires 0 < eps1 < eps2 < 1.
+    window half-width 2^(-2dj+eps1*j)).  eps2 only enters the check
+    0 < eps1 < eps2 < 1; no computation reads it.  The classical regime
+    keeps eps1 < eps2 = 2^-5; desk-scale sweeps at small j may rescale
+    both upward jointly with j.
     """
 
     d: int

@@ -84,6 +84,10 @@ def test_load_config_overrides_file(tmp_path):
     dict(fault="mystery"),          # no longer a key
     dict(quad_resolution=1.0),      # wrapped quadrature validation
     dict(kernel="harmonic", n=1),   # wrapped kernel-family validation
+    dict(quad_resolution="inf"),    # non-finite floats are refused
+    dict(quad_resolution="nan"),
+    dict(quad_tol="inf"),
+    dict(quad_tol="nan"),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
@@ -241,6 +245,19 @@ def test_exit_code_config_error(tmp_path):
     assert code == 2
     code, _ = run_cli(tmp_path, "weyl", q_max="lots")
     assert code == 2
+
+
+def test_internal_value_error_is_not_a_configuration_error(
+        tmp_path, capsys, monkeypatch):
+    # only ConfigError exits 2; a ValueError raised inside a command is a
+    # fault of the program, so it propagates instead
+    def broken(cfg, out):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setitem(cli._COMMANDS, "weyl", broken)
+    with pytest.raises(ValueError, match="broken invariant"):
+        main(["weyl", "--q_max", "3", "--out", str(tmp_path / "out")])
+    assert "configuration error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, key, value", [

@@ -57,11 +57,10 @@ def test_value_matches_brute_oracle(a, b, q, d, n):
 def test_methods_agree():
     pair = ArcPair(3, (2, 1), 7)
     v1 = complete_weyl_sum(pair, 1, method="direct").value
-    v2 = complete_weyl_sum(pair, 1, method="factored").value
     v3 = complete_weyl_sum(pair, 1, method="auto").value
-    assert abs(v1 - v2) < 1e-14 and abs(v1 - v3) < 1e-14
+    assert abs(v1 - v3) < 1e-14
     with pytest.raises(ValueError):
-        complete_weyl_sum(pair, 2, method="factored")
+        complete_weyl_sum(pair, 1, method="factored")
 
 
 def test_budget():
@@ -95,7 +94,6 @@ def test_magnitude_and_periodicity(q, a, b, d):
         return
     res = complete_weyl_sum(ArcPair(a, (b,), q), d)
     assert abs(res.value) <= 1.0 + 1e-12
-    assert res.terms == q
     # conjugation symmetry: negating both numerators conjugates the sum
     neg = complete_weyl_sum(ArcPair((-a) % q, ((-b) % q,), q), d)
     assert abs(neg.value - np.conj(res.value)) < 1e-12
@@ -123,6 +121,7 @@ def test_orthogonality_small():
 def test_decay_fit_positive_exponent():
     fit = fit_decay_exponent(32, 1, 1)
     assert fit.delta_hat > 0.4
-    assert fit.max_abs(1) == 1.0
+    maxima = dict(fit.table)
+    assert maxima[1] == 1.0
     # q prime: the maximum over b is attained and equals q^(-1/2)
-    assert abs(fit.max_abs(13) - 13**-0.5) < 1e-12
+    assert abs(maxima[13] - 13**-0.5) < 1e-12

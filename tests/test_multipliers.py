@@ -132,13 +132,14 @@ def test_make_cutoffs_geometry():
     cut = make_cutoffs(1, 2)
     assert cut.plateau == math.sqrt(2.0) / 4.0 and cut.support == 0.5
     # chi is 1 on the cube corners, 0 beyond the support radius
-    assert cut.chi(np.array([0.25, 0.25])) == 1.0
-    assert cut.chi(np.array([0.51, 0.0])) == 0.0
-    assert cut.chi_tilde(np.array([0.5, 0.0])) == 1.0
+    # (at level s = 1 both are evaluated at 2^10 xi)
+    assert cut.chi_s(np.array([0.25, 0.25]) * 2.0**-10) == 1.0
+    assert cut.chi_s(np.array([0.51, 0.0]) * 2.0**-10) == 0.0
+    assert cut.chi_tilde_s(np.array([0.5, 0.0]) * 2.0**-10) == 1.0
     with pytest.raises(ValueError):
         make_cutoffs(1, 4)  # cube circumradius reaches the support
     with pytest.raises(ValueError):
-        CutoffSpec(s=1, n=1, plateau=0.6, support=0.5,
+        CutoffSpec(s=1, plateau=0.6, support=0.5,
                    tilde_plateau=0.5, tilde_support=1.0)
 
 
@@ -247,10 +248,9 @@ def test_script_L_hand_values():
     want = complete_weyl_sum(ArcPair(1, (3,), 17), 1).value * 1.5
     assert abs(script_L(5, ReducedRational(1, 17), m15, 3.0 / 17.0,
                         cut, 1, 1) - want) < 1e-15
-    # window path beyond the enumeration cap
-    want = complete_weyl_sum(ArcPair(1, (5,), 64), 1).value * 1.5
-    assert abs(script_L(7, ReducedRational(1, 64), m15, 5.0 / 64.0,
-                        cut, 1, 1) - want) < 1e-15
+    # levels beyond the enumeration cap are refused
+    with pytest.raises(ValueError):
+        script_L(7, ReducedRational(1, 64), m15, 5.0 / 64.0, cut, 1, 1)
     # denominator outside the level: empty sum
     assert script_L(2, ReducedRational(1, 4), m15, 0.0, cut, 1, 1) == 0.0j
 
@@ -260,6 +260,8 @@ def test_script_L_sharp_hand_values():
     m15 = lambda off: 1.5 + 0.0j
     assert script_L_sharp(1, m15, 0.0, cut, 1) == 1.5 + 0.0j
     assert script_L_sharp(1, m15, 0.4, cut, 1) == 0.0j
+    with pytest.raises(ValueError):  # beyond the n = 2 enumeration cap
+        script_L_sharp(5, m15, np.zeros(2), make_cutoffs(1, 2), 2)
 
 
 def test_factorization_identity_holds():

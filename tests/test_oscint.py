@@ -31,15 +31,11 @@ def _simpson(vals, h):
 
 
 def oracle_phi_1d(fam, j, lam, xi, m=80001):
-    """Dense Simpson integration of the piece against the bilinear phase,
-    written directly from the definition (both rays, no rescaling)."""
-    if j >= 2:
-        lo, hi = 2.0 ** (j - 1), 2.0 ** (j + 1)
-        env = lambda r: psi_profile(r * 2.0**-j) / r
-    else:
-        lo, hi = 1e-13, 4.0  # integrand extends continuously to r = 0
-        env = lambda r: eta(r / 2.0) / r
-    r = np.linspace(lo, hi, m)
+    """Dense Simpson integration of the piece j >= 2 against the bilinear
+    phase, written directly from the definition (both rays, no
+    rescaling); oracle_phi_j1 covers j = 1."""
+    r = np.linspace(2.0 ** (j - 1), 2.0 ** (j + 1), m)
+    env = lambda r: psi_profile(r * 2.0**-j) / r
     om_p = float(fam.omega(np.array([[1.0]]))[0])
     om_m = float(fam.omega(np.array([[-1.0]]))[0])
     f = env(r) * np.exp(2j * np.pi * lam * r ** (2 * fam.d)) * (
@@ -71,7 +67,6 @@ def oracle_phi_2d(fam, j, lam, xivec, mr=4001, mt=4096):
 
 @pytest.mark.parametrize("j,lam,xi", [
     (4, 0.7 * 2.0**-8, 1.3 * 2.0**-4),
-    (1, 0.3, 0.7),
     (6, -0.9 * 2.0**-12, 0.25 * 2.0**-6),
 ])
 def test_phi_matches_dense_oracle_1d(j, lam, xi):
@@ -146,9 +141,10 @@ def test_vdc_profile_finite_and_scale_stable():
 
 
 def test_vdc_profile_unscaled():
+    # raw (lam, xi) grids are refused; only the scaled form is computed
     fam = make_kernel("sign", 1, 1)
-    prof = vdc_profile(fam, [3], [(0.01, 0.5)], QuadratureSpec(), scaled=False)
-    assert math.isfinite(prof[3])
+    with pytest.raises(ValueError):
+        vdc_profile(fam, [3], [(0.01, 0.5)], QuadratureSpec(), scaled=False)
 
 
 # ==================== failure modes ====================
@@ -171,7 +167,9 @@ def test_node_budget_preflight():
 
 def test_quadrature_spec_validation():
     for bad in (dict(resolution=3.0), dict(max_depth=-1),
-                dict(tol=0.0), dict(node_budget=4)):
+                dict(tol=0.0), dict(node_budget=4),
+                dict(resolution=math.inf), dict(resolution=math.nan),
+                dict(tol=math.inf), dict(tol=math.nan)):
         with pytest.raises(ValueError):
             QuadratureSpec(**bad)
 

@@ -52,7 +52,7 @@ def test_reduced_rational_rejects_non_reduced():
 
 def test_arc_pair_canonical():
     p = ArcPair(2, (1,), 4)  # gcd(2,1,4)=1; coordinates need not reduce
-    assert p.alpha == 0.5 and p.n == 1
+    assert (p.a, p.b, p.q) == (2, (1,), 4) and p.n == 1
     with pytest.raises(ValueError):
         ArcPair(2, (2,), 4)  # gcd 2
     with pytest.raises(ValueError):
@@ -69,7 +69,7 @@ def test_farey_count_and_order(Q):
     vals = [f.as_fraction() for f in fs]
     assert vals == sorted(vals)
     assert len(set(vals)) == len(vals)
-    assert all(0 <= f.value < 1 for f in fs)
+    assert all(0 <= f.num < f.den for f in fs)
 
 
 def test_rs_blocks_tile_denominators():
@@ -144,4 +144,4 @@ def test_xj_window_uniqueness(lam, j):
     hit = in_Xj(lam, j, params)
     if hit is not None:
         assert 1 <= hit.den < params.aj_denominator_bound(j)
-        assert abs(lam - hit.value) <= params.xj_halfwidth(j)
+        assert abs(lam - hit.num / hit.den) <= params.xj_halfwidth(j)
