@@ -65,15 +65,6 @@ from .rationals import ArcPair, enumerate_Rs, farey_set, lcm_range, rs_block
 __all__ = ["main", "build_parser"]
 
 
-def _reduced_pairs(q_max: int) -> list[tuple[int, int]]:
-    return [
-        (a, q)
-        for q in range(1, q_max + 1)
-        for a in range(q)
-        if math.gcd(a, q) == 1
-    ]
-
-
 # ==================== weyl ====================
 
 
@@ -292,28 +283,28 @@ def cmd_carleson(cfg: ExperimentConfig, out: Path) -> int:
 # ==================== kappa ====================
 
 
-def _shift_box(w: int, n: int) -> np.ndarray:
-    """Every integer shift in [-w, w]^n, one row each, in C order."""
-    return np.array(list(np.ndindex(*((2 * w + 1,) * n))), np.int64) - w
-
-
-def _form_gap(pairs, pairs_prime, shifts, cfg: ExperimentConfig) -> float:
-    """Largest gap between the two kappa forms over pairs x pairs_prime."""
-    gap = 0.0
-    for a, q in pairs:
-        for ap, qp in pairs_prime:
-            beta, dbl = kappa_table(a, q, ap, qp, shifts, cfg.d, cfg.n)
-            gap = max(gap, float(np.abs(beta - dbl).max()))
-    return gap
+def _form_gaps(q_max: int, w: int, cfg: ExperimentConfig):
+    """Rows [q, q', largest gap between the two kappa forms over the
+    reduced a/q, a'/q' and the shifts in [-w, w]^n] for q, q' <= q_max,
+    and the number of rational pairs."""
+    nums = {q: [a for a in range(q) if math.gcd(a, q) == 1]
+            for q in range(1, q_max + 1)}
+    rows = []
+    for q in nums:
+        for qp in nums:
+            # both forms depend on a shift only mod q': the distinct
+            # residues of [-w, w] mod q' stand for the whole box
+            res = (np.arange(qp) if 2 * w + 1 >= qp
+                   else np.arange(-w, w + 1) % qp)
+            shifts = np.stack(np.meshgrid(*[res] * cfg.n, indexing="ij"), -1)
+            beta, dbl = kappa_table(nums[q], q, nums[qp], qp,
+                                    shifts.reshape(-1, cfg.n), cfg.d, cfg.n)
+            rows.append([q, qp, float(np.abs(beta - dbl).max())])
+    return rows, sum(map(len, nums.values())) ** 2
 
 
 def cmd_kappa(cfg: ExperimentConfig, out: Path) -> int:
-    shifts = _shift_box(cfg.w_max, cfg.n)
-    pairs = _reduced_pairs(cfg.q_max)
-    by_q = {q: [p for p in pairs if p[1] == q]
-            for q in range(1, cfg.q_max + 1)}
-    rows = [[q, qp, _form_gap(by_q[q], by_q[qp], shifts, cfg)]
-            for q in by_q for qp in by_q]
+    rows, pairs = _form_gaps(cfg.q_max, cfg.w_max, cfg)
     worst = max(row[2] for row in rows)
     write_csv(out / "kappa_gaps.csv", ["q", "q_prime", "max_gap"], rows)
     write_json(
@@ -323,12 +314,12 @@ def cmd_kappa(cfg: ExperimentConfig, out: Path) -> int:
             "n": cfg.n,
             "q_max": cfg.q_max,
             "w_max": cfg.w_max,
-            "pairs": len(pairs) ** 2,
+            "pairs": pairs,
             "max_gap": worst,
         },
     )
     print(
-        f"kappa: {len(pairs) ** 2} rational pairs, |w| <= {cfg.w_max}, "
+        f"kappa: {pairs} rational pairs, |w| <= {cfg.w_max}, "
         f"max form gap = {worst:.3e}"
     )
     return 0 if worst <= 1e-9 else 1
@@ -459,11 +450,10 @@ def _suite_factorization(cfg: ExperimentConfig) -> tuple[bool, str]:
 def _suite_kappa(cfg: ExperimentConfig) -> tuple[bool, str]:
     w_top = min(cfg.w_max, 24)
     q_top = min(cfg.q_max, 12 if cfg.n == 1 else 8)
-    pairs = _reduced_pairs(q_top)
-    worst = _form_gap(pairs, pairs, _shift_box(w_top, cfg.n), cfg)
+    rows, pairs = _form_gaps(q_top, w_top, cfg)
+    worst = max(row[2] for row in rows)
     return worst <= 1e-9, (
-        f"max form gap {worst:.3e} over {len(pairs) ** 2} pairs, "
-        f"|w| <= {w_top}"
+        f"max form gap {worst:.3e} over {pairs} pairs, |w| <= {w_top}"
     )
 
 

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit 2,
-budget/tolerance failures exit 3, verification failures exit 1.
+budget/tolerance failures exit 3, verification failures exit 1.  Any
+other exception is a defect in the program; it is not caught, so the
+command exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -28,4 +30,5 @@ class ToleranceNotReachedError(RuntimeError):
 
 class VerificationError(AssertionError):
     """An internal cross-check (for instance the two closed forms of the
-    quadratic-pair kernel) disagreed beyond tolerance."""
+    quadratic-pair kernel) disagreed beyond tolerance, or an invariant
+    broke (for instance two arc windows holding the same point)."""

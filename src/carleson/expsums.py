@@ -11,8 +11,11 @@ exercised numerically throughout the lab:
   * power decay: max_{gcd(a,q)=1, b} |S| decays like q^(-delta).
 
 All phases are integer residues, so values are exact up to the final
-q-term root-of-unity dot product; results are independent of iteration
-order and thread count by construction.
+root-of-unity sum.  Both scans run per modulus q: weyl_table(q, d, n)
+gives every S(a/q, b/q) as one inverse DFT batched over a, and the scans
+read its rows in bounded runs.  complete_weyl_sum, a residue histogram
+per pair, is the independent reference.  Results are independent of
+iteration order and thread count by construction.
 """
 
 from __future__ import annotations
@@ -53,23 +56,16 @@ def _roots_of_unity(q: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(q) / q)
 
 
-def _sum_from_counts(counts: np.ndarray, q: int, terms: int) -> complex:
-    return complex(np.dot(counts.astype(np.float64), _roots_of_unity(q))) / terms
-
-
 def complete_weyl_sum(
     pair: ArcPair,
     d: int,
     method: str = "auto",
     budget: int = DEFAULT_TERM_BUDGET,
 ) -> WeylSumResult:
-    """S(a/q, b/q) for the canonical pair, phase degree d.
-
-    method:
-      "auto"     coordinate-factored product of 1-d quadratic sums when
-                 d = 1 (the phase a|r|^2 + b.r splits), direct otherwise
-      "direct"   always the n-dimensional residue histogram
-    """
+    """S(a/q, b/q) for the canonical pair, phase degree d, from the
+    n-dimensional residue histogram of the integer phase.  It shares no
+    code with weyl_table, so it is the reference the tables are checked
+    against.  method "auto" and "direct" name the same computation."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if method not in ("auto", "direct"):
@@ -80,33 +76,34 @@ def complete_weyl_sum(
         raise BudgetExceededError(
             f"complete sum needs q^n = {terms} terms (> {budget})"
         )
-    if d == 1 and method == "auto":
-        value = 1.0 + 0.0j
-        for bk in b:
-            counts = accel.weyl_phase_counts(q, 1, 1, a, np.array([bk], np.int64))
-            value *= _sum_from_counts(counts, q, q)
-        return WeylSumResult(value=value)
     counts = accel.weyl_phase_counts(q, d, n, a, np.array(b, np.int64))
-    return WeylSumResult(value=_sum_from_counts(counts, q, terms))
+    value = complex(np.dot(counts.astype(np.float64), _roots_of_unity(q)))
+    return WeylSumResult(value=value / terms)
 
 
-@lru_cache(maxsize=200_000)
-def _weyl_value(a: int, b: tuple, q: int, d: int) -> complex:
-    """complete_weyl_sum(ArcPair(a, b, q), d).value, cached per
-    (a, b, q, d) for the pair-sum and arc-operator loops."""
-    return complete_weyl_sum(ArcPair(a=a, b=b, q=q), d).value
-
-
-def weyl_table(q: int, a: int, d: int, n: int) -> np.ndarray:
-    """All values S(a/q, b/q) for b in [0,q)^n at once, shape (q,)*n,
-    computed as an inverse DFT of the pure-phase grid e(a|r|^(2d)/q)."""
+def weyl_table(q: int, d: int, n: int, a=None) -> np.ndarray:
+    """S(a/q, b/q) for each numerator in a (default every a in [0, q))
+    and every b in [0,q)^n, shape (len(a),) + (q,)*n: one inverse DFT of
+    the pure-phase grids e(a|r|^(2d)/q) over the r axes."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    idx = np.indices((q,) * n, dtype=np.int64)
-    ph = (a % q) * accel._norm_power_mod(idx, d, q) % q
-    grid = _roots_of_unity(q)[ph]
+    a = np.arange(q) if a is None else np.asarray(a, dtype=np.int64) % q
+    x = accel._norm_power_mod(np.indices((q,) * n, dtype=np.int64), d, q)
+    grid = _roots_of_unity(q)[a.reshape((-1,) + (1,) * n) * x % q]
     # ifftn(G)[b] = q^-n sum_r G[r] e(+b.r/q), exactly the normalized sum
-    return np.fft.ifftn(grid)
+    return np.fft.ifftn(grid, axes=tuple(range(1, n + 1)))
+
+
+# Table cells (complex) a scan holds at once.
+_TABLE_CELLS = 1 << 22
+
+
+def _table_runs(q: int, d: int, n: int, rows: np.ndarray):
+    """(numerators, weyl_table rows) over rows, at most _TABLE_CELLS
+    cells at a time."""
+    step = max(1, _TABLE_CELLS // q**n)
+    for i in range(0, len(rows), step):
+        yield rows[i : i + step], weyl_table(q, d, n, rows[i : i + step])
 
 
 @dataclass(frozen=True)
@@ -125,43 +122,34 @@ class OrthogonalityReport:
         return self.violations == 0
 
 
-def _gcd_grid(base: int, q: int, n: int) -> np.ndarray:
-    """gcd(base, b_1, ..., b_n) over the grid b in [0,q)^n."""
-    gcd_1d = np.array([math.gcd(base, v) for v in range(q)], dtype=np.int64)
-    g = gcd_1d.reshape((q,) + (1,) * (n - 1))
-    for k in range(1, n):
-        shape = [1] * n
-        shape[k] = q
-        g = np.gcd(g, gcd_1d.reshape(shape))
-    return np.broadcast_to(g, (q,) * n) if n > 1 else gcd_1d
-
-
 def verify_orthogonality(
     q_max: int, d: int, n: int, tol: float = 1e-9
 ) -> OrthogonalityReport:
     """Check S(a/q, b/q) = 0 for every canonical pair with q <= q_max,
     gcd(a, q) > 1 and gcd(a, b, q) = 1.
 
-    Scans whole b-tables per (a, q) via the DFT form, so the work is
-    ~ sum q^n log q rather than sum q^(2n)."""
+    Scans one modulus q at a time: the weyl_table rows with
+    gcd(a, q) > 1, at most _TABLE_CELLS cells per run, so the work is
+    ~ sum q^(n+1) log q rather than sum q^(2n+1)."""
     cases = 0
     max_abs = 0.0
     worst = None
     violations = 0
     for q in range(2, q_max + 1):
-        for a in range(q):
-            ga = math.gcd(a, q)
-            if ga == 1:
-                continue
-            table = np.abs(weyl_table(q, a, d, n))
-            mask = _gcd_grid(ga, q, n) == 1
+        nums = np.arange(q)
+        gcd_b = np.gcd.reduce(np.indices((q,) * n), axis=0)
+        for a, table in _table_runs(q, d, n, nums[np.gcd(nums, q) > 1]):
+            ga = np.gcd(a, q).reshape((-1,) + (1,) * n)
+            mask = np.gcd(ga, gcd_b) == 1
             cases += int(mask.sum())
-            masked = np.where(mask, table, 0.0)
-            local = float(masked.max()) if masked.size else 0.0
+            masked = np.where(mask, np.abs(table), 0.0)
+            local = float(masked.max())
             if local > max_abs:
                 max_abs = local
-                b_idx = np.unravel_index(int(masked.argmax()), masked.shape)
-                worst = (a, tuple(int(v) for v in b_idx), q)
+                row, *b_idx = np.unravel_index(
+                    int(masked.argmax()), masked.shape
+                )
+                worst = (int(a[row]), tuple(int(v) for v in b_idx), q)
             violations += int((masked > tol).sum())
     return OrthogonalityReport(
         q_max=q_max,
@@ -189,12 +177,9 @@ def fit_decay_exponent(q_max: int, d: int, n: int) -> DecayFit:
     supported ranges) are excluded from the fit."""
     rows: list[tuple[int, float]] = []
     for q in range(1, q_max + 1):
-        best = 0.0
-        for a in range(q):
-            if math.gcd(a, q) != 1:
-                continue
-            best = max(best, float(np.abs(weyl_table(q, a, d, n)).max()))
-        rows.append((q, best))
+        nums = np.arange(q)
+        runs = _table_runs(q, d, n, nums[np.gcd(nums, q) == 1])
+        rows.append((q, max(float(np.abs(t).max()) for _, t in runs)))
     pts = [(math.log(q), math.log(m)) for q, m in rows if m > 0]
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .accel import frac_mul, phase_weighted_sum
-from .expsums import _weyl_value, complete_weyl_sum
+from .expsums import complete_weyl_sum
 from .kernels import DEFAULT_LATTICE_BUDGET, KernelFamily, lattice_arrays
 from .kernels import _transition
 from .oscint import QuadratureSpec, phi, phi_star
@@ -409,7 +409,8 @@ def script_L(
             chi_val = cut.chi_s(off)
             if chi_val == 0.0:
                 continue
-            total += _weyl_value(a, tuple(b), q, d) * m(off) * chi_val
+            s_val = complete_weyl_sum(ArcPair(a, b, q), d).value
+            total += s_val * m(off) * chi_val
     return total
 
 

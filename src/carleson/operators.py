@@ -25,7 +25,7 @@ import numpy as np
 
 from .accel import _norm_power_mod
 from .errors import BudgetExceededError
-from .expsums import _roots_of_unity, _weyl_value
+from .expsums import _TABLE_CELLS, _roots_of_unity, weyl_table
 from .kernels import (
     DEFAULT_LATTICE_BUDGET,
     KernelFamily,
@@ -271,9 +271,9 @@ def norm_ratio_stats(
 
 
 def kappa_table(
-    a: int,
+    a,
     q: int,
-    ap: int,
+    ap,
     qp: int,
     shifts: np.ndarray,
     d: int,
@@ -285,45 +285,57 @@ def kappa_table(
     beta form:    sum_{b in [g]^n} S(a/q, b/g) conj(S(a'/q', b/g)) e(w.b/g)
     double form:  (q'/g)^(-n) sum_{u in [q'/g]^n} s(w + u*g),
                   s(w) = q^(-n) sum_{r in [q]^n}
-                             e( a|r|^(2d)/q - a'|r+w|^(2d)/q' )
+                             e(a|r|^(2d)/q) conj(e(a'|r+w|^(2d)/q'))
 
-    with g = gcd(q, q'); returns the (beta, double) value arrays.  The
-    two are equal identically, so callers compare them as a check on the
-    exponential-sum machinery.  The beta form depends on w only mod g
-    and the double form only mod q', so each is tabulated once on its
-    fundamental domain and the shifts are filled by residue lookup; the
-    phase of s is reduced exactly as an integer mod q*q'.
+    with g = gcd(q, q'); returns the (beta, double) value arrays.  a and
+    a' are reduced numerators, or sequences of them: then each array is
+    a block of shape (len(a), len(a'), count), one call per (q, q').
+    The two forms are equal identically, so callers compare them as a
+    check on the exponential-sum machinery.  The beta form depends on w
+    only mod g and the double form only mod q', so each is tabulated
+    once on its fundamental domain and the shifts are filled by residue
+    lookup.  The beta form reads the weyl_table rows of a and a' at the
+    multiples of q/g and q'/g; s is an einsum over the exact phase grids
+    of the two moduli, each reduced as an integer mod q and mod q'.
     """
-    if math.gcd(a, q) != 1 or math.gcd(ap, qp) != 1:
+    scalar = np.ndim(a) == 0 and np.ndim(ap) == 0
+    a = np.atleast_1d(np.asarray(a, dtype=np.int64)) % q
+    ap = np.atleast_1d(np.asarray(ap, dtype=np.int64)) % qp
+    if np.any(np.gcd(a, q) != 1) or np.any(np.gcd(ap, qp) != 1):
         raise ValueError("a/q and a'/q' must be reduced")
     shifts = np.asarray(shifts, dtype=np.int64)
     if shifts.ndim != 2 or shifts.shape[1] != n:
         raise ValueError(f"shift array must have shape (count, {n})")
     g = math.gcd(q, qp)
-    prod = np.empty((g,) * n, dtype=np.complex128)
-    for b in np.ndindex(*((g,) * n)):
-        b1 = tuple((int(t) * (q // g)) % q for t in b)
-        b2 = tuple((int(t) * (qp // g)) % qp for t in b)
-        prod[b] = _weyl_value(a % q, b1, q, d) * np.conj(
-            _weyl_value(ap % qp, b2, qp, d)
-        )
+    rows = (slice(None),) + (slice(None, None, q // g),) * n
+    rows_p = (slice(None),) + (slice(None, None, qp // g),) * n
+    prod = (weyl_table(q, d, n, a)[rows][:, None]
+            * np.conj(weyl_table(qp, d, n, ap)[rows_p])[None, :])
     # sum_b prod[b] e(+w.b/g) is the unnormalized inverse transform
-    beta_dom = np.fft.ifftn(prod) * g**n
+    beta_dom = np.fft.ifftn(prod, axes=tuple(range(2, n + 2))) * g**n
     zs = np.indices((q,) * n, dtype=np.int64).reshape(n, -1)
     vs = np.indices((qp,) * n, dtype=np.int64).reshape(n, -1)
     x = _norm_power_mod(zs, d, q)
     y = _norm_power_mod(zs[:, None, :] + vs[:, :, None], d, qp)
-    ph = (qp * ((a % q) * x % q)[None, :] - q * ((ap % qp) * y % qp)) % (q * qp)
-    sxy_dom = _roots_of_unity(q * qp)[ph].sum(axis=1) / float(q**n)
+    E = _roots_of_unity(q)[a[:, None] * x % q]
+    # the a' grids, at most _TABLE_CELLS cells at a time
+    step = max(1, _TABLE_CELLS // y.size)
+    sxy_dom = np.empty((len(a), len(ap), qp**n), dtype=np.complex128)
+    for i in range(0, len(ap), step):
+        F = np.conj(_roots_of_unity(qp))[ap[i : i + step, None, None] * y % qp]
+        sxy_dom[:, i : i + step] = np.einsum("az,bvz->abv", E, F)
+    sxy_dom /= float(q**n)
     m = qp // g
     strides = qp ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    dbl_dom = np.zeros(qp**n, dtype=np.complex128)
+    dbl_dom = np.zeros_like(sxy_dom)
     for u in np.ndindex(*((m,) * n)):
         moved = (vs + g * np.asarray(u, dtype=np.int64).reshape(n, 1)) % qp
-        dbl_dom += sxy_dom[strides @ moved]
+        dbl_dom += sxy_dom[..., strides @ moved]
     dbl_dom /= float(m**n)
-    beta_vals = beta_dom[tuple(np.mod(shifts.T, g))]
-    dbl_vals = dbl_dom[strides @ np.mod(shifts.T, qp)]
+    beta_vals = beta_dom[(Ellipsis,) + tuple(np.mod(shifts.T, g))]
+    dbl_vals = dbl_dom[..., strides @ np.mod(shifts.T, qp)]
+    if scalar:
+        return beta_vals[0, 0], dbl_vals[0, 0]
     return beta_vals, dbl_vals
 
 

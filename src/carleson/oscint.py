@@ -158,6 +158,11 @@ def phi(fam: KernelFamily, j: int, lam: float, xi, quad: QuadratureSpec) -> comp
     if fam.n not in (1, 2):
         raise NotImplementedError("oscillatory integrals support n <= 2")
 
+    if 2 * fam.d * j >= 1024:
+        raise BudgetExceededError(
+            f"phase scale 2^(2dj) = 2^{2 * fam.d * j} exceeds the float "
+            f"range 2^1023"
+        )
     if j >= 2:
         u, v, hi, span = 2.0 ** (2 * fam.d * j) * lam, 2.0**j * xi, 2.0, 1.5
     else:

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, VerificationError
 
 __all__ = [
     "ReducedRational",
@@ -166,8 +166,8 @@ def in_Xj(lam: float, j: int, params: ArcParams) -> Optional[ReducedRational]:
 
     The window bound is closed, so boundary points are members.  The
     returned rational keeps its true value (it is not translated into
-    [0, 1)).  Raises if the windows at the given parameters are not
-    disjoint and several match.
+    [0, 1)).  Raises VerificationError if the windows at the given
+    parameters are not disjoint and several match.
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
@@ -187,7 +187,7 @@ def in_Xj(lam: float, j: int, params: ArcParams) -> Optional[ReducedRational]:
     if not hits:
         return None
     if len(hits) > 1:
-        raise ValueError(
+        raise VerificationError(
             f"windows overlap at lam={lam}, j={j}: {[str(h) for h in hits]}"
         )
     return hits[0]

@@ -332,6 +332,36 @@ def test_exit_code_budget_error(tmp_path, capsys):
     assert err.startswith("budget error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["phi", "--profile_points", "4"],
+    ["approx", "--samples", "1", "--q_max", "1"],
+    ["verify", "--suite", "disjointness"],
+])
+def test_phase_scale_past_float_range_is_a_budget_error(tmp_path, capsys,
+                                                        argv):
+    # Phi's phase scale 2^(2dj) leaves the float range from 2dj = 1024 on
+    out = tmp_path / "out"
+    code = main([*argv, "--j_lo", "600", "--j_hi", "600", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kv, w_small", [
+    (dict(q_max=4), 2),
+    (dict(n=2, q_max=3), 1),
+])
+def test_kappa_shift_box_is_read_mod_q_prime(tmp_path, kv, w_small):
+    # once 2w+1 >= q' every residue mod q' is in the box, so a box of
+    # (2*10^8 + 1)^n shifts gives the same gaps as the small one
+    gaps = []
+    for w in (w_small, 100_000_000):
+        code, out = run_cli(tmp_path / str(w), "kappa", w_max=w, **kv)
+        assert code == 0
+        gaps.append((out / "kappa_gaps.csv").read_bytes())
+    assert gaps[0] == gaps[1]
+
+
 def test_approx_budget_refused_before_allocating(tmp_path, capsys):
     tracemalloc.start()
     try:

@@ -104,11 +104,50 @@ def test_magnitude_and_periodicity(q, a, b, d):
 
 @pytest.mark.parametrize("q,a,d,n", [(7, 3, 1, 1), (9, 2, 2, 1), (6, 1, 1, 2)])
 def test_weyl_table_matches_singles(q, a, d, n):
-    table = weyl_table(q, a, d, n)
-    assert table.shape == (q,) * n
+    table = weyl_table(q, d, n)
+    assert table.shape == (q,) * (n + 1)
     for b in np.ndindex(*(q,) * n):
         want = brute_weyl(a, tuple(int(t) for t in b), q, d)
-        assert abs(table[b] - want) < 1e-12
+        assert abs(table[a][b] - want) < 1e-12
+    # a selection of numerators gives the same rows, bitwise
+    rows = weyl_table(q, d, n, [a, 0, a + q])
+    assert rows.shape == (3,) + (q,) * n
+    assert np.array_equal(rows, table[[a, 0, a]])
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 8, 9, 12])
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_weyl_table_matches_direct_histogram(q, d, n):
+    table = weyl_table(q, d, n)
+    worst = 0.0
+    for a in range(q):
+        for b in np.ndindex(*(q,) * n):
+            if math.gcd(a, *b, q) != 1:
+                continue
+            want = complete_weyl_sum(ArcPair(a, b, q), d, method="direct")
+            worst = max(worst, abs(table[a][b] - want.value))
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("q1,q2,d,n", [
+    (q1, q2, d, n)
+    for q1, q2 in ((2, 5), (3, 4), (5, 7), (4, 9))
+    for d in (1, 2)
+    for n in (1, 2)
+    if n == 1 or q1 * q2 <= 20
+])
+def test_weyl_table_chinese_remainder_factorization(q1, q2, d, n):
+    # S(a/(q1 q2), b/(q1 q2))
+    #     = S(a q2^(2d-1)/q1, b/q1) S(a q1^(2d-1)/q2, b/q2)
+    # for coprime q1, q2, every a and every b
+    q = q1 * q2
+    a = np.arange(q)
+    left = weyl_table(q1, d, n, a * q2 ** (2 * d - 1))
+    right = weyl_table(q2, d, n, a * q1 ** (2 * d - 1))
+    b = np.arange(q)
+    left = left[np.ix_(a, *[b % q1] * n)]
+    right = right[np.ix_(a, *[b % q2] * n)]
+    assert np.abs(weyl_table(q, d, n) - left * right).max() < 1e-13
 
 
 def test_orthogonality_small():

@@ -227,6 +227,16 @@ def test_kappa_table_matches_singles():
     for row in range(3):
         beta, dbl = kappa_forms(1, 3, 1, 2, tuple(shifts2[row]), 2, 2)
         assert abs(bv2[row] - beta) < 1e-12 and abs(dv2[row] - dbl) < 1e-12
+    # numerator sequences give the (len a, len a', count) block of the
+    # per-pair calls
+    nums, nums_p = [1, 3, 5, 7], [1, 2, 4, 5, 7, 8]
+    bb, db = kappa_table(nums, 8, nums_p, 9, shifts, 2, 1)
+    assert bb.shape == db.shape == (4, 6, len(shifts))
+    for i, a in enumerate(nums):
+        for k, ap in enumerate(nums_p):
+            beta, dbl = kappa_table(a, 8, ap, 9, shifts, 2, 1)
+            assert np.abs(bb[i, k] - beta).max() <= 1e-15
+            assert np.abs(db[i, k] - dbl).max() <= 1e-15
 
 
 def test_kappa_hand_values():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carleson.errors import VerificationError
 from carleson.rationals import (
     ArcPair,
     ArcParams,
@@ -135,6 +136,13 @@ def test_in_xj_respects_denominator_bound():
     assert in_Xj(1 / 5 + 0.1 * w, j, params) is None  # q=5 not admitted
     hit = in_Xj(1 / 3 - 0.9 * w, j, params)
     assert (hit.num, hit.den) == (1, 3)
+
+
+def test_in_xj_overlap_is_a_broken_invariant():
+    # at eps1 = 0.9 the j = 4 windows of 1/5, 1/6 and 1/7 all hold 0.155
+    params = ArcParams(d=1, n=1, eps1=0.9, eps2=0.95)
+    with pytest.raises(VerificationError, match="1/5.*1/6.*1/7"):
+        in_Xj(0.155, 4, params)
 
 
 @given(st.floats(0, 1, exclude_max=True), st.integers(5, 11))

@@ -11,7 +11,8 @@ from functools import lru_cache
 import numpy as np
 
 from carleson.errors import BudgetExceededError
-from carleson.expsums import _roots_of_unity, _weyl_value
+from carleson.expsums import _roots_of_unity, complete_weyl_sum
+from carleson.rationals import ArcPair
 
 
 def _as_point(x, n: int) -> np.ndarray:
@@ -90,8 +91,8 @@ def kappa_forms(
     for b in np.ndindex(*((g,) * n)):
         b1 = tuple((int(t) * (q // g)) % q for t in b)
         b2 = tuple((int(t) * (qp // g)) % qp for t in b)
-        s1 = _weyl_value(a % q, b1, q, d)
-        s2 = _weyl_value(ap % qp, b2, qp, d)
+        s1 = complete_weyl_sum(ArcPair(a % q, b1, q), d).value
+        s2 = complete_weyl_sum(ArcPair(ap % qp, b2, qp), d).value
         phase = sum(int(wi) * int(bi) for wi, bi in zip(w, b)) % g
         beta += s1 * np.conj(s2) * _roots_of_unity(g)[phase]
     m = qp // g
