@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable
 
@@ -166,6 +167,8 @@ def _as_xi(xi, n: int) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     if arr.shape != (n,):
         raise ValueError(f"xi must have shape ({n},), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"xi must be finite, got {arr}")
     return arr
 
 
@@ -175,7 +178,15 @@ def _wrap(t: float) -> float:
 
 
 def _wrap_vec(v: np.ndarray) -> np.ndarray:
-    return np.array([_wrap(float(t)) for t in v])
+    """_wrap on every entry, in the same arithmetic."""
+    return v - np.floor(v + 0.5)
+
+
+def _inside(off: np.ndarray, radius: float) -> np.ndarray:
+    """Rows of off with norm below radius.  The cutoffs vanish on a shell
+    well inside their support (smooth_step underflows), so an ulp of
+    difference from the scalar norm cannot drop a nonzero row."""
+    return np.sqrt((off * off).sum(axis=1)) < radius
 
 
 def m_lattice(
@@ -254,30 +265,35 @@ def lsj_terms(
     cut: CutoffSpec,
     quad: QuadratureSpec,
 ) -> list[dict]:
-    """The candidate terms of L_sj at (lam, xi): per q in the block only
-    the componentwise-nearest (a, b) can have a nonzero cutoff, so the
-    scan is linear in the block.  Each returned entry carries the
-    canonical triple, its factors, and the assembled term; entries are
-    included when both windows admit (lam, xi), that is when the cutoff
-    factor is nonzero and lam lies in the modulation window of a/q (the
-    disjointness claim is that there is never more than one)."""
+    """The candidate terms of L_sj at (lam, xi).  Per q in the block
+    only the componentwise-nearest (a, b) can have a nonzero cutoff; one
+    array pass over the block finds them, drops gcd(a, b, q) > 1 and
+    keeps the offsets inside the support radius.  Only those rows get
+    the scalar cutoff, the modulation window, phi_star and S.  An entry
+    (canonical triple, its factors, the assembled term) is returned when
+    the cutoff is nonzero and lam lies in the modulation window of a/q;
+    the disjointness claim is that there is never more than one."""
     xi = _as_xi(xi, fam.n)
     cut = cut.at_scale(s)
     window = params.xj_halfwidth(j)
+    qs = np.array(rs_block(s))
+    col = qs[:, None]
+    a = np.mod(np.floor(lam * qs + 0.5), qs).astype(np.int64)
+    b = np.mod(np.floor(xi * col + 0.5), col).astype(np.int64)
+    offs = _wrap_vec(xi - b / col)
+    keep = np.gcd(np.gcd.reduce(b, axis=1), np.gcd(a, qs)) == 1
+    keep &= _inside(offs, cut.support_radius_s)
     out = []
-    for q in rs_block(s):
-        a = _nearest_int(lam * q) % q
-        b = tuple(_nearest_int(float(t) * q) % q for t in xi)
-        if math.gcd(a, *b, q) != 1:
-            continue
-        beta_off = _wrap_vec(xi - np.array(b, dtype=np.float64) / q)
+    for i in np.flatnonzero(keep):
+        beta_off = offs[i]
         chi_val = cut.chi_s(beta_off)
         if chi_val == 0.0:
             continue
-        nu = _wrap(lam - a / q)
+        q, a_i = int(qs[i]), int(a[i])
+        nu = _wrap(lam - a_i / q)
         if abs(nu) > window:
             continue
-        term_pair = ArcPair(a=a, b=b, q=q)
+        term_pair = ArcPair(a=a_i, b=tuple(int(t) for t in b[i]), q=q)
         phi_val = phi_star(fam, j, nu, beta_off, params, quad)
         s_val = complete_weyl_sum(term_pair, fam.d).value
         out.append({
@@ -371,6 +387,34 @@ def bsharp_set(s: int, n: int) -> list[tuple[Fraction, ...]]:
     return out
 
 
+def _script_terms(s: int, alpha: ReducedRational, xi, cut: CutoffSpec,
+                  d: int, n: int):
+    """Yield (offset, S(alpha, beta), chi_s) for the beta of B_s(alpha)
+    with nonzero cutoff, in (q, b) order.  Each q's b grid is screened
+    in one array pass (gcd, wrapped offset, support radius); the scalar
+    cutoff and S run on the rows left.  s > enum_cap(n) is refused."""
+    if not 1 <= s <= enum_cap(n):
+        raise ValueError(f"need 1 <= s <= {enum_cap(n)} for n = {n}, got {s}")
+    xi = _as_xi(xi, n)
+    cut = cut.at_scale(s)
+    if alpha.den >= (1 << s):
+        return
+    for q in rs_block(s):
+        if q % alpha.den:
+            continue
+        a = alpha.num * (q // alpha.den)
+        b = np.indices((q,) * n).reshape(n, -1).T
+        offs = _wrap_vec(xi - b / q)
+        keep = np.gcd(np.gcd.reduce(b, axis=1), math.gcd(a, q)) == 1
+        keep &= _inside(offs, cut.support_radius_s)
+        for i in np.flatnonzero(keep):
+            chi_val = cut.chi_s(offs[i])
+            if chi_val == 0.0:
+                continue
+            pair = ArcPair(a, tuple(int(t) for t in b[i]), q)
+            yield offs[i], complete_weyl_sum(pair, d).value, chi_val
+
+
 def script_L(
     s: int,
     alpha: ReducedRational,
@@ -388,30 +432,22 @@ def script_L(
     where B_s(alpha) holds the beta whose joint denominator
     lcm(den(alpha), den(beta_1..n)) falls in [2^(s-1), 2^s); the sum is
     empty (0) when den(alpha) >= 2^s.  The symbol handle receives the
-    wrapped offset.  Each block is enumerated in full, so s above
-    enum_cap(n) is refused.
+    wrapped offset of each term with nonzero cutoff (_script_terms).
+    Each block is enumerated in full, so s above enum_cap(n) is refused.
     """
-    if not 1 <= s <= enum_cap(n):
-        raise ValueError(f"need 1 <= s <= {enum_cap(n)} for n = {n}, got {s}")
-    xi = _as_xi(xi, n)
-    cut = cut.at_scale(s)
-    if alpha.den >= (1 << s):
-        return 0.0 + 0.0j
     total = 0.0 + 0.0j
-    for q in rs_block(s):
-        if q % alpha.den:
-            continue
-        a = alpha.num * (q // alpha.den)
-        for b in np.ndindex(*(q,) * n):
-            if math.gcd(a, *b, q) != 1:
-                continue
-            off = _wrap_vec(xi - np.array(b, dtype=np.float64) / q)
-            chi_val = cut.chi_s(off)
-            if chi_val == 0.0:
-                continue
-            s_val = complete_weyl_sum(ArcPair(a, b, q), d).value
-            total += s_val * m(off) * chi_val
+    for off, s_val, chi_val in _script_terms(s, alpha, xi, cut, d, n):
+        total += s_val * m(off) * chi_val
     return total
+
+
+@lru_cache(maxsize=None)
+def _sharp_table(s: int, n: int) -> tuple[tuple, np.ndarray]:
+    """bsharp_set(s, n) and its float rows, shared read-only."""
+    betas = tuple(bsharp_set(s, n))
+    values = np.array(betas, dtype=np.float64)
+    values.setflags(write=False)
+    return betas, values
 
 
 def sharp_terms(
@@ -423,17 +459,20 @@ def sharp_terms(
 ) -> list[tuple[tuple[Fraction, ...], complex, float]]:
     """Candidate terms of script_L_sharp with nonzero wide-cutoff
     factor (disjointness holds when at most one comes back), over the
-    whole of Bsharp_s; s above enum_cap(n) is refused."""
+    whole of Bsharp_s; s above enum_cap(n) is refused.  The offsets to
+    the cached table of Bsharp_s are wrapped and measured in one array
+    pass; the cutoff and m run only on rows inside the support radius."""
     if not 1 <= s <= enum_cap(n):
         raise ValueError(f"need 1 <= s <= {enum_cap(n)} for n = {n}, got {s}")
     xi = _as_xi(xi, n)
     cut = cut.at_scale(s)
+    betas, values = _sharp_table(s, n)
+    offs = _wrap_vec(xi - values)
     out = []
-    for beta in bsharp_set(s, n):
-        off = _wrap_vec(xi - np.array([float(f) for f in beta]))
-        w = cut.chi_tilde_s(off)
+    for i in np.flatnonzero(_inside(offs, cut.tilde_support_radius_s)):
+        w = cut.chi_tilde_s(offs[i])
         if w != 0.0:
-            out.append((beta, m(off), w))
+            out.append((betas[i], m(offs[i]), w))
     return out
 
 
@@ -464,10 +503,10 @@ def factorization_residual(
     n: int,
 ) -> float:
     """|script_L[m] - script_L[1] * script_L_sharp[m]| at xi; zero
-    (to rounding) whenever chi_tilde is 1 on the support of chi."""
-    one = lambda off: 1.0 + 0.0j
-    lhs = script_L(s, alpha, m, xi, cut, d, n)
-    rhs = script_L(s, alpha, one, xi, cut, d, n) * script_L_sharp(
-        s, m, xi, cut, n
-    )
-    return abs(lhs - rhs)
+    (to rounding) whenever chi_tilde is 1 on the support of chi.  Both
+    script_L sums read one walk of B_s(alpha), each bitwise as alone."""
+    lhs = ones = 0.0 + 0.0j
+    for off, s_val, chi_val in _script_terms(s, alpha, xi, cut, d, n):
+        lhs += s_val * m(off) * chi_val
+        ones += s_val * (1.0 + 0.0j) * chi_val
+    return abs(lhs - ones * script_L_sharp(s, m, xi, cut, n))

@@ -99,6 +99,25 @@ def test_magnitude_and_periodicity(q, a, b, d):
     assert abs(neg.value - np.conj(res.value)) < 1e-12
 
 
+@pytest.mark.parametrize("q", [5, 8, 9, 12])
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_unit_scaling(q, d, n):
+    # r -> u r permutes the residues when gcd(u, q) = 1, so
+    # S(a u^(2d)/q, u b/q) = S(a/q, b/q)
+    units = [u for u in range(2, q) if math.gcd(u, q) == 1]
+    worst = 0.0
+    for a in range(q):
+        for b in np.ndindex(*(q,) * n):
+            if math.gcd(a, *b, q) != 1:
+                continue
+            base = complete_weyl_sum(ArcPair(a, b, q), d).value
+            for u in units:
+                pair = ArcPair(a * u ** (2 * d) % q,
+                               tuple(u * t % q for t in b), q)
+                worst = max(worst, abs(complete_weyl_sum(pair, d).value - base))
+    assert worst < 1e-13
+
+
 # ==================== tables and orthogonality ====================
 
 

@@ -25,10 +25,20 @@ from carleson.multipliers import (
     script_L,
     script_L_sharp,
     sharp_terms,
+    _inside,
     _wrap,
+    _wrap_vec,
 )
 from carleson.oscint import QuadratureSpec, phi_star
-from carleson.rationals import ArcParams, ArcPair, ReducedRational, enumerate_Rs
+from carleson.rationals import (
+    ArcParams,
+    ArcPair,
+    ReducedRational,
+    enumerate_Rs,
+    farey_set,
+    rs_block,
+)
+from twins import lsj_terms_scalar, script_L_scalar, sharp_terms_scalar
 
 QUAD = QuadratureSpec()
 PARAMS = ArcParams(eps1=0.25, eps2=0.3, d=1, n=1)
@@ -90,6 +100,24 @@ def test_m_grid_matches_pointwise():
     worst = max(abs(grid[k] - m_lattice(fam, 4, lam, k / N))
                 for k in range(0, N, 7))
     assert worst <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("fam,sign", [
+    (make_kernel("sign", 1, 1), -1.0),
+    (make_kernel("sign", 1, 2), -1.0),
+    (make_kernel("riesz", 2, 1, 1), -1.0),
+    (make_kernel("harmonic", 2, 1, 2), 1.0),
+    (make_kernel("harmonic", 2, 2, 3), -1.0),
+])
+def test_m_lattice_parity_in_xi(fam, sign):
+    # y -> -y: m(-xi) = (-1)^deg(Omega) m(xi), to rounding (the reduced
+    # phases of -xi and xi are not exact negatives of each other)
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        lam = float(rng.uniform(0, 1))
+        xi = rng.uniform(-1, 1, size=fam.n)
+        gap = abs(m_lattice(fam, 5, lam, -xi) - sign * m_lattice(fam, 5, lam, xi))
+        assert gap <= 1e-15
 
 
 # ==================== rational-arc approximation ====================
@@ -290,6 +318,118 @@ def test_factorization_fails_with_shrunken_wide_cutoff():
     m15 = lambda off: 1.5 + 0.0j
     r = factorization_residual(1, ReducedRational(0, 1), m15, 1e-4, bad, 1, 1)
     assert r > 1e-6
+
+
+# ==================== array screens against the scalar loops ====================
+
+
+def _same(x, y) -> bool:
+    """Equal type and bit pattern (so -0.0 differs from 0.0)."""
+    return type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def _screen_points(s, n, params, j):
+    """(lam, xi, alpha): 40 draws as cli._suite_disjointness makes them,
+    then xi exactly on the support radius of chi_s and of chi_tilde_s,
+    one ulp either side of each, and in the thin outer shell where the
+    cutoff is still nonzero (around the zero frequency, with lam on the
+    arc 1/q of the block's first q), then _wrap's half-up ties."""
+    cut = make_cutoffs(1, n).at_scale(s)
+    block = rs_block(s)
+    alphas = farey_set(2**s - 1)
+    for k in range(40):
+        rng = np.random.default_rng((2025, 55, s, k))
+        q = int(rng.integers(block.start, block.stop))
+        a = int(rng.integers(0, q)) if q > 1 else 0
+        b = rng.integers(0, q, size=n)
+        lam = a / q + float(rng.uniform(-1, 1)) * params.xj_halfwidth(j)
+        xi = b / q + rng.uniform(-3, 3, size=n) * cut.support_radius_s
+        yield lam, xi, alphas[int(rng.integers(0, len(alphas)))]
+    q0 = block.start
+    alpha = ReducedRational(1 % q0, q0)
+    axes = np.eye(n) if n == 1 else np.vstack([np.eye(n), [np.sqrt(0.5)] * 2])
+    for radius in (cut.support_radius_s, cut.tilde_support_radius_s):
+        for r in (0.999 * radius, np.nextafter(radius, 0.0), radius,
+                  np.nextafter(radius, 1.0)):
+            for axis in np.vstack([axes, -axes]):
+                yield (1.0 / q0) % 1.0, r * axis, alpha
+    for t in (0.5, 0.5 / q0, 1.5 / q0):
+        yield t, np.full(n, t), alpha
+        yield (1.0 / q0) % 1.0, np.full(n, t), alpha
+
+
+def _assert_mask_covers(xi, rows, radius, cutoff):
+    """Every candidate row with nonzero scalar cutoff passes the screen."""
+    offs = _wrap_vec(xi - rows)
+    for off, keep in zip(offs, _inside(offs, radius)):
+        assert keep or cutoff(np.array([_wrap(float(t)) for t in off])) == 0.0
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_array_screens_match_scalar_loops(s, n):
+    fam = make_kernel("sign", 1, 1) if n == 1 else make_kernel("riesz", 2, 1, 0)
+    params = ArcParams(eps1=0.25, eps2=0.3, d=1, n=n)
+    cut = make_cutoffs(1, n)
+    scaled = cut.at_scale(s)
+    j = 12
+    mh = lambda off: np.exp(2j * np.pi * float(np.sum(off))) + 0.25 * off[0]
+    grid = np.vstack([np.indices((q,) * n).reshape(n, -1).T / q
+                      for q in rs_block(s)])
+    sharp_rows = np.array(bsharp_set(s, n), dtype=np.float64)
+    hits = 0
+    for lam, xi, alpha in _screen_points(s, n, params, j):
+        got = lsj_terms(fam, s, j, lam, xi, params, cut, QUAD)
+        want = lsj_terms_scalar(fam, s, j, lam, xi, params, cut, QUAD)
+        assert [e["pair"] for e in got] == [e["pair"] for e in want]
+        for g, w in zip(got, want):
+            for key in ("weyl", "phi_star", "chi", "term"):
+                assert _same(g[key], w[key]), key
+        got = sharp_terms(s, mh, xi, cut, n)
+        want = sharp_terms_scalar(s, mh, xi, cut, n)
+        assert [t[0] for t in got] == [t[0] for t in want]
+        for g, w in zip(got, want):
+            assert _same(g[1], w[1]) and _same(g[2], w[2])
+        hits += len(got)
+        assert _same(script_L(s, alpha, mh, xi, cut, 1, n),
+                     script_L_scalar(s, alpha, mh, xi, cut, 1, n))
+        _assert_mask_covers(xi, grid, scaled.support_radius_s, scaled.chi_s)
+        _assert_mask_covers(xi, sharp_rows, scaled.tilde_support_radius_s,
+                            scaled.chi_tilde_s)
+    assert hits > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_arc_scans_refuse_non_finite_xi(bad):
+    # the scalar loops raised on these through math.floor; the array
+    # screens would drop every row and return nothing
+    cut = make_cutoffs(1, 1)
+    m15 = lambda off: 1.5 + 0.0j
+    with pytest.raises(ValueError, match="finite"):
+        lsj_terms(make_kernel("sign", 1, 1), 1, 8, 0.0, bad, PARAMS, cut, QUAD)
+    with pytest.raises(ValueError, match="finite"):
+        sharp_terms(1, m15, bad, cut, 1)
+    with pytest.raises(ValueError, match="finite"):
+        script_L(1, ReducedRational(0, 1), m15, bad, cut, 1, 1)
+
+
+def test_factorization_residual_matches_two_script_L_walks():
+    cut = make_cutoffs(1, 2)
+    one = lambda off: 1.0 + 0.0j
+    mh = lambda off: np.exp(2j * np.pi * float(np.sum(off)))
+    rng = np.random.default_rng(19)
+    for s in (1, 2, 3):
+        alphas = farey_set(2**s - 1)
+        for _ in range(10):
+            alpha = alphas[int(rng.integers(0, len(alphas)))]
+            q = int(rng.integers(rs_block(s).start, rs_block(s).stop))
+            xi = rng.integers(0, q, size=2) / q + rng.uniform(
+                -1, 1, size=2) * cut.at_scale(s).support_radius_s
+            want = abs(script_L_scalar(s, alpha, mh, xi, cut, 1, 2)
+                       - script_L_scalar(s, alpha, one, xi, cut, 1, 2)
+                       * script_L_sharp(s, mh, xi, cut, 2))
+            assert _same(factorization_residual(s, alpha, mh, xi, cut, 1, 2),
+                         want)
 
 
 # ==================== torus wrap ====================

@@ -1,7 +1,10 @@
-"""Scalar reference forms of the rational-block pair sums.
+"""Scalar reference forms of the rational-block pair sums and of the
+arc-term scans.
 
 operators.kappa_table tabulates both closed forms over a whole box of
-shifts at once; the functions here evaluate them one shift at a time,
+shifts at once, and multipliers.lsj_terms, script_L and sharp_terms
+screen their whole candidate table with one array expression; the
+functions here evaluate them one shift or one candidate at a time,
 straight from the definitions, so tests can compare the two.
 """
 
@@ -12,7 +15,9 @@ import numpy as np
 
 from carleson.errors import BudgetExceededError
 from carleson.expsums import _roots_of_unity, complete_weyl_sum
-from carleson.rationals import ArcPair
+from carleson.multipliers import _as_xi, _wrap, bsharp_set, enum_cap
+from carleson.oscint import phi_star
+from carleson.rationals import ArcPair, _nearest_int, rs_block
 
 
 def _as_point(x, n: int) -> np.ndarray:
@@ -102,3 +107,81 @@ def kappa_forms(
         double += s_xy(a, q, ap, qp, shift, d, n)
     double /= float(m**n)
     return beta, double
+
+
+# ==================== arc-term scans, one candidate at a time ====================
+
+
+def _wrap_each(v) -> np.ndarray:
+    return np.array([_wrap(float(t)) for t in v])
+
+
+def lsj_terms_scalar(fam, s, j, lam, xi, params, cut, quad) -> list[dict]:
+    """multipliers.lsj_terms with the cutoff evaluated per q."""
+    xi = _as_xi(xi, fam.n)
+    cut = cut.at_scale(s)
+    window = params.xj_halfwidth(j)
+    out = []
+    for q in rs_block(s):
+        a = _nearest_int(lam * q) % q
+        b = tuple(_nearest_int(float(t) * q) % q for t in xi)
+        if math.gcd(a, *b, q) != 1:
+            continue
+        beta_off = _wrap_each(xi - np.array(b, dtype=np.float64) / q)
+        chi_val = cut.chi_s(beta_off)
+        if chi_val == 0.0:
+            continue
+        nu = _wrap(lam - a / q)
+        if abs(nu) > window:
+            continue
+        term_pair = ArcPair(a=a, b=b, q=q)
+        phi_val = phi_star(fam, j, nu, beta_off, params, quad)
+        s_val = complete_weyl_sum(term_pair, fam.d).value
+        out.append({
+            "pair": term_pair,
+            "weyl": s_val,
+            "phi_star": phi_val,
+            "chi": chi_val,
+            "term": s_val * phi_val * chi_val,
+        })
+    return out
+
+
+def script_L_scalar(s, alpha, m, xi, cut, d, n) -> complex:
+    """multipliers.script_L with the cutoff evaluated per (q, b)."""
+    if not 1 <= s <= enum_cap(n):
+        raise ValueError(f"need 1 <= s <= {enum_cap(n)} for n = {n}, got {s}")
+    xi = _as_xi(xi, n)
+    cut = cut.at_scale(s)
+    if alpha.den >= (1 << s):
+        return 0.0 + 0.0j
+    total = 0.0 + 0.0j
+    for q in rs_block(s):
+        if q % alpha.den:
+            continue
+        a = alpha.num * (q // alpha.den)
+        for b in np.ndindex(*(q,) * n):
+            if math.gcd(a, *b, q) != 1:
+                continue
+            off = _wrap_each(xi - np.array(b, dtype=np.float64) / q)
+            chi_val = cut.chi_s(off)
+            if chi_val == 0.0:
+                continue
+            s_val = complete_weyl_sum(ArcPair(a, b, q), d).value
+            total += s_val * m(off) * chi_val
+    return total
+
+
+def sharp_terms_scalar(s, m, xi, cut, n) -> list[tuple]:
+    """multipliers.sharp_terms with the wide cutoff evaluated per beta."""
+    if not 1 <= s <= enum_cap(n):
+        raise ValueError(f"need 1 <= s <= {enum_cap(n)} for n = {n}, got {s}")
+    xi = _as_xi(xi, n)
+    cut = cut.at_scale(s)
+    out = []
+    for beta in bsharp_set(s, n):
+        off = _wrap_each(xi - np.array([float(f) for f in beta]))
+        w = cut.chi_tilde_s(off)
+        if w != 0.0:
+            out.append((beta, m(off), w))
+    return out
