@@ -113,12 +113,7 @@ def _approx_group(cfg: ExperimentConfig, j: int, q: int) -> list[list]:
         off = rng.uniform(-0.45, 0.45, size=cfg.n) / math.sqrt(cfg.n)
         lam = a / q + t * 2.0 ** (-(2 * fam.d - 1) * j)
         xi = np.array(b, dtype=np.float64) / q + off
-        err, ratio = approx_error(fam, j, pair, lam, xi, quad)
-        delta = max(
-            abs(t),
-            float(np.linalg.norm(off)),
-            math.nextafter(2.0 ** (-j), math.inf),
-        )
+        err, ratio, delta = approx_error(fam, j, pair, lam, xi, quad)
         rows.append([j, q, k, delta, abs(err), ratio])
     return rows
 

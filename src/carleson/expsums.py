@@ -60,21 +60,21 @@ def complete_weyl_sum(
     pair: ArcPair,
     d: int,
     method: str = "auto",
-    budget: int = DEFAULT_TERM_BUDGET,
 ) -> WeylSumResult:
     """S(a/q, b/q) for the canonical pair, phase degree d, from the
     n-dimensional residue histogram of the integer phase.  It shares no
     code with weyl_table, so it is the reference the tables are checked
-    against.  method "auto" and "direct" name the same computation."""
+    against.  method "auto" and "direct" name the same computation.
+    More than DEFAULT_TERM_BUDGET residues q^n are refused."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if method not in ("auto", "direct"):
         raise ValueError(f"unknown method {method!r}")
     q, a, b, n = pair.q, pair.a, pair.b, pair.n
     terms = q**n
-    if terms > budget:
+    if terms > DEFAULT_TERM_BUDGET:
         raise BudgetExceededError(
-            f"complete sum needs q^n = {terms} terms (> {budget})"
+            f"complete sum needs q^n = {terms} terms (> {DEFAULT_TERM_BUDGET})"
         )
     counts = accel.weyl_phase_counts(q, d, n, a, np.array(b, np.int64))
     value = complex(np.dot(counts.astype(np.float64), _roots_of_unity(q)))
@@ -108,10 +108,6 @@ def _table_runs(q: int, d: int, n: int, rows: np.ndarray):
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
-    q_max: int
-    d: int
-    n: int
-    tol: float
     cases: int
     max_abs: float
     worst: Optional[tuple[int, tuple[int, ...], int]]
@@ -152,14 +148,7 @@ def verify_orthogonality(
                 worst = (int(a[row]), tuple(int(v) for v in b_idx), q)
             violations += int((masked > tol).sum())
     return OrthogonalityReport(
-        q_max=q_max,
-        d=d,
-        n=n,
-        tol=tol,
-        cases=cases,
-        max_abs=max_abs,
-        worst=worst,
-        violations=violations,
+        cases=cases, max_abs=max_abs, worst=worst, violations=violations
     )
 
 

@@ -232,18 +232,19 @@ def _cached_lattice(key, fam: KernelFamily, j: int, budget: int, profile):
     return result
 
 
-def lattice_arrays(
-    fam: KernelFamily, j: int, budget: int = DEFAULT_LATTICE_BUDGET
-):
+def lattice_arrays(fam: KernelFamily, j: int):
     """Cached arrays (points, values, phase_weights) for the nonzero
-    lattice samples of K_j:
+    lattice samples of K_j, from a box of at most DEFAULT_LATTICE_BUDGET
+    points:
 
       points         int64, shape (m, n), all y != 0 with K_j(y) != 0
       values         float64, K_j(y)
       phase_weights  int64, |y|^(2d) (exact; guarded against exceeding
                      the range the phase-reduction primitive supports)
     """
-    return _cached_lattice((fam, j), fam, j, budget, kernel_piece)
+    return _cached_lattice(
+        (fam, j), fam, j, DEFAULT_LATTICE_BUDGET, kernel_piece
+    )
 
 
 def cumulative_lattice_arrays(

@@ -20,10 +20,11 @@ composes it with the rational-arc data:
   survives (values of distinct triples are >= 2^(-2s) apart).
 * E_j is the leftover m * 1_{X_j} - sum_s L_sj: the quantity whose decay
   in j is the minor-arc content of the construction.
-* script_L / script_L_sharp apply the same windowing to an arbitrary
-  bounded symbol handle; their pointwise factorization
-  script_L[m] = script_L[1] * script_L_sharp[m] holds exactly as long
-  as the wide cutoff is identically 1 on the support of the narrow one.
+* script_L[m] (the terms of _script_terms) and script_L_sharp apply the
+  same windowing to an arbitrary bounded symbol handle; their pointwise
+  factorization script_L[m] = script_L[1] * script_L_sharp[m] holds
+  exactly as long as the wide cutoff is identically 1 on the support of
+  the narrow one (factorization_residual).
 
 Offsets lam - a/q and xi - b/q are always wrapped to the nearest integer
 translate, which implements the torus periodicity of the arc sums; raw
@@ -42,7 +43,7 @@ import numpy as np
 
 from .accel import frac_mul, phase_weighted_sum
 from .expsums import complete_weyl_sum
-from .kernels import DEFAULT_LATTICE_BUDGET, KernelFamily, lattice_arrays
+from .kernels import KernelFamily, lattice_arrays
 from .kernels import _transition
 from .oscint import QuadratureSpec, phi, phi_star
 from .rationals import (
@@ -64,7 +65,6 @@ __all__ = [
     "L_sj",
     "E_j",
     "bsharp_set",
-    "script_L",
     "script_L_sharp",
     "sharp_terms",
     "factorization_residual",
@@ -133,8 +133,6 @@ class CutoffSpec:
 def make_cutoffs(
     s: int,
     n: int,
-    plateau: float | None = None,
-    support: float = 0.5,
     tilde_plateau: float = 0.5,
     tilde_support: float = 1.0,
 ) -> CutoffSpec:
@@ -142,19 +140,18 @@ def make_cutoffs(
     radial plateau is the cube's circumradius sqrt(n)/4) and supported
     in |xi| <= 1/2; chi_tilde is 1 up to 1/2 and supported in |xi| <= 1.
 
-    The default plateau only leaves transition room for n <= 3.
+    The plateau only leaves transition room for n <= 3.
     """
-    if plateau is None:
-        plateau = math.sqrt(n) / 4.0
-        if plateau >= support:
-            raise ValueError(
-                f"cube circumradius {plateau:.3f} leaves no transition "
-                f"room below support {support} (need n <= 3)"
-            )
+    plateau = math.sqrt(n) / 4.0
+    if plateau >= 0.5:
+        raise ValueError(
+            f"cube circumradius {plateau:.3f} leaves no transition "
+            f"room below support 0.5 (need n <= 3)"
+        )
     return CutoffSpec(
         s=s,
         plateau=plateau,
-        support=support,
+        support=0.5,
         tilde_plateau=tilde_plateau,
         tilde_support=tilde_support,
     )
@@ -189,13 +186,7 @@ def _inside(off: np.ndarray, radius: float) -> np.ndarray:
     return np.sqrt((off * off).sum(axis=1)) < radius
 
 
-def m_lattice(
-    fam: KernelFamily,
-    j: int,
-    lam: float,
-    xi,
-    budget: int = DEFAULT_LATTICE_BUDGET,
-) -> complex:
+def m_lattice(fam: KernelFamily, j: int, lam: float, xi) -> complex:
     """m_{j,lam}(xi) summed exactly over the support of K_j.
 
     lam and xi are reduced mod 1 before any multiplication and the
@@ -203,7 +194,7 @@ def m_lattice(
     periodicity identities hold to the bit, not just to rounding.
     """
     xi = _as_xi(xi, fam.n)
-    pts, vals, nvals = lattice_arrays(fam, j, budget)
+    pts, vals, nvals = lattice_arrays(fam, j)
     phases = frac_mul(float(lam) % 1.0, nvals)
     for k in range(fam.n):
         phases = phases + frac_mul(float(xi[k]) % 1.0, pts[:, k])
@@ -220,16 +211,17 @@ def approx_error(
     lam: float,
     xi,
     quad: QuadratureSpec,
-) -> tuple[complex, float]:
+) -> tuple[complex, float, float]:
     """Error of the split approximation at the arc (a/q, b/q):
 
         err = m_{j,lam}(xi) - S(a/q, b/q) * Phi_{j, lam-a/q}(xi - b/q)
 
-    and bound_ratio = |err| / (q*delta), where delta is the smallest
-    admissible modulation radius: max(|lam-a/q| * 2^((2d-1)j),
-    |xi-b/q|, just above 2^(-j)).  Preconditions (q <= 2^(j-2),
-    delta < 1) raise ValueError; they are admissibility failures, not
-    approximation failures.
+    returned as (err, bound_ratio, delta) with bound_ratio =
+    |err| / (q*delta), where delta is the smallest admissible
+    modulation radius: max(|lam-a/q| * 2^((2d-1)j), |xi-b/q|, just
+    above 2^(-j)).  Preconditions (q <= 2^(j-2), delta < 1) raise
+    ValueError; they are admissibility failures, not approximation
+    failures.
     """
     if fam.n != pair.n:
         raise ValueError(f"pair dimension {pair.n} != kernel n {fam.n}")
@@ -249,7 +241,7 @@ def approx_error(
     s_val = complete_weyl_sum(pair, fam.d).value
     p_val = phi(fam, j, nu, off, quad)
     err = m_lattice(fam, j, lam, xi) - s_val * p_val
-    return err, abs(err) / (pair.q * delta)
+    return err, abs(err) / (pair.q * delta), delta
 
 
 # ==================== arc-localized pieces ====================
@@ -274,6 +266,8 @@ def lsj_terms(
     the cutoff is nonzero and lam lies in the modulation window of a/q;
     the disjointness claim is that there is never more than one."""
     xi = _as_xi(xi, fam.n)
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     cut = cut.at_scale(s)
     window = params.xj_halfwidth(j)
     qs = np.array(rs_block(s))
@@ -337,7 +331,6 @@ def E_j(
     params: ArcParams,
     cut: CutoffSpec,
     quad: QuadratureSpec,
-    budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> complex:
     """E_{j,lam}(xi) = m_{j,lam}(xi) * 1_{X_j}(lam) - sum_s L_sj, with s
     running over 1..floor(eps1*j) (which tiles the X_j denominators
@@ -346,7 +339,7 @@ def E_j(
     xi = _as_xi(xi, fam.n)
     total = 0.0 + 0.0j
     if in_Xj(lam, j, params):
-        total = m_lattice(fam, j, lam, xi, budget)
+        total = m_lattice(fam, j, lam, xi)
     for s in range(1, params.s_max(j) + 1):
         total -= L_sj(fam, s, j, lam, xi, params, cut.at_scale(s), quad)
     return total
@@ -368,8 +361,6 @@ def bsharp_set(s: int, n: int) -> list[tuple[Fraction, ...]]:
             if math.gcd(num, den) == 1:
                 singles.append(Fraction(num, den))
     singles.sort()
-    if n == 1:
-        return [(f,) for f in singles]
     out = []
 
     def rec(prefix: tuple, lcm_so_far: int):
@@ -390,9 +381,17 @@ def bsharp_set(s: int, n: int) -> list[tuple[Fraction, ...]]:
 def _script_terms(s: int, alpha: ReducedRational, xi, cut: CutoffSpec,
                   d: int, n: int):
     """Yield (offset, S(alpha, beta), chi_s) for the beta of B_s(alpha)
-    with nonzero cutoff, in (q, b) order.  Each q's b grid is screened
-    in one array pass (gcd, wrapped offset, support radius); the scalar
-    cutoff and S run on the rows left.  s > enum_cap(n) is refused."""
+    with nonzero cutoff, in (q, b) order: the terms of the arc operator
+
+        script_L[m](xi) = sum over beta in B_s(alpha) of
+                          S(alpha, beta) m(xi-beta) chi_s(xi-beta),
+
+    where B_s(alpha) holds the beta whose joint denominator
+    lcm(den(alpha), den(beta_1..n)) falls in [2^(s-1), 2^s); there are
+    none when den(alpha) >= 2^s.  Each q's b grid is screened in one
+    array pass (gcd, wrapped offset, support radius); the scalar cutoff
+    and S run on the rows left.  Each block is enumerated in full, so
+    s > enum_cap(n) is refused."""
     if not 1 <= s <= enum_cap(n):
         raise ValueError(f"need 1 <= s <= {enum_cap(n)} for n = {n}, got {s}")
     xi = _as_xi(xi, n)
@@ -413,32 +412,6 @@ def _script_terms(s: int, alpha: ReducedRational, xi, cut: CutoffSpec,
                 continue
             pair = ArcPair(a, tuple(int(t) for t in b[i]), q)
             yield offs[i], complete_weyl_sum(pair, d).value, chi_val
-
-
-def script_L(
-    s: int,
-    alpha: ReducedRational,
-    m: Callable[[np.ndarray], complex],
-    xi,
-    cut: CutoffSpec,
-    d: int,
-    n: int,
-) -> complex:
-    """Arc operator applied to a bounded symbol handle:
-
-        sum over beta in B_s(alpha) of S(alpha, beta) m(xi-beta)
-                                                     chi_s(xi-beta),
-
-    where B_s(alpha) holds the beta whose joint denominator
-    lcm(den(alpha), den(beta_1..n)) falls in [2^(s-1), 2^s); the sum is
-    empty (0) when den(alpha) >= 2^s.  The symbol handle receives the
-    wrapped offset of each term with nonzero cutoff (_script_terms).
-    Each block is enumerated in full, so s above enum_cap(n) is refused.
-    """
-    total = 0.0 + 0.0j
-    for off, s_val, chi_val in _script_terms(s, alpha, xi, cut, d, n):
-        total += s_val * m(off) * chi_val
-    return total
 
 
 @lru_cache(maxsize=None)

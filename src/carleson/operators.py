@@ -132,14 +132,14 @@ class CarlesonResult:
     """Gridded maximal-operator output.
 
     cf holds max over the grid of |sum_{j<=J} modulated convolution|;
-    argmax_lambda the first grid value attaining it per site; and
-    grid_error_bound the worst-case shortfall against the true supremum
-    over [0,1):  (spacing/2) * 2*pi * sum_y |y|^(2d) |K^(J)(y)| * ||f||_inf,
-    from the exact modulation-derivative bound.
+    argmax_index the index i of the first grid value i/M attaining it
+    per site; and grid_error_bound the worst-case shortfall against the
+    true supremum over [0,1):
+    (spacing/2) * 2*pi * sum_y |y|^(2d) |K^(J)(y)| * ||f||_inf, from the
+    exact modulation-derivative bound.
     """
 
     cf: LatticeFunction
-    argmax_lambda: np.ndarray
     argmax_index: np.ndarray
     grid_error_bound: float
 
@@ -209,10 +209,7 @@ def carleson_apply(
         f.n, f.center, out_half, best.reshape(widths).astype(np.complex128)
     )
     return CarlesonResult(
-        cf=cf,
-        argmax_lambda=best_idx / M,
-        argmax_index=best_idx,
-        grid_error_bound=bound,
+        cf=cf, argmax_index=best_idx, grid_error_bound=bound
     )
 
 
@@ -253,12 +250,10 @@ def norm_ratio_stats(
             f = random_function(fam.n, radius, (seed, trial))
         res = carleson_apply(fam, f, J, grid, budget)
         nf = f.norm2()
-        nc = res.cf.norm2()
         return {
             "trial": trial,
             "norm_f": nf,
-            "norm_cf": nc,
-            "ratio": nc / nf,
+            "ratio": res.cf.norm2() / nf,
             "grid_error_bound": res.grid_error_bound,
         }
 

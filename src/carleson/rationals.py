@@ -56,9 +56,6 @@ class ReducedRational:
         if math.gcd(self.num, self.den) != 1:
             raise ValueError(f"{self.num}/{self.den} is not reduced")
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
@@ -179,11 +176,7 @@ def in_Xj(lam: float, j: int, params: ArcParams) -> Optional[ReducedRational]:
         if math.gcd(a, q) != 1:
             continue  # same value appears reduced at denominator q/gcd
         if abs(lam - a / q) <= width:
-            cand = ReducedRational(a, q)
-            if all(
-                cand.as_fraction() != h.as_fraction() for h in hits
-            ):
-                hits.append(cand)
+            hits.append(ReducedRational(a, q))
     if not hits:
         return None
     if len(hits) > 1:
@@ -200,36 +193,29 @@ def rs_block(s: int) -> range:
     return range(1 << (s - 1), 1 << s)
 
 
-def enumerate_Rs(
-    s: int, n: int, max_size: int = DEFAULT_ENUM_LIMIT
-) -> list[ArcPair]:
+def enumerate_Rs(s: int, n: int) -> list[ArcPair]:
     """All canonical pairs (a, b, q) with q in [2^(s-1), 2^s), a in [0,q),
     b in [0,q)^n and gcd(a, b, q) = 1, ordered by (q, a, b).
 
     Raises BudgetExceededError when the candidate count q^(n+1) summed
-    over the block exceeds max_size.
+    over the block exceeds DEFAULT_ENUM_LIMIT.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     block = rs_block(s)
     candidates = sum(q ** (n + 1) for q in block)
-    if candidates > max_size:
+    if candidates > DEFAULT_ENUM_LIMIT:
         raise BudgetExceededError(
             f"enumerate_Rs(s={s}, n={n}) needs {candidates} candidates "
-            f"(> {max_size}); use the window-based lookups instead"
+            f"(> {DEFAULT_ENUM_LIMIT}); use the window-based lookups instead"
         )
     out: list[ArcPair] = []
     for q in block:
         for a in range(q):
             ga = math.gcd(a, q)
-            if ga == 1:
-                # every b works
-                for b in np.ndindex(*(q,) * n):
+            for b in np.ndindex(*(q,) * n):
+                if math.gcd(ga, *b) == 1:
                     out.append(ArcPair(a, tuple(int(x) for x in b), q))
-            else:
-                for b in np.ndindex(*(q,) * n):
-                    if math.gcd(ga, *b) == 1:
-                        out.append(ArcPair(a, tuple(int(x) for x in b), q))
     return out
 
 

@@ -1,12 +1,19 @@
-"""Reachability census: which definitions in src/carleson/ never run.
+"""Reachability census: which definitions in src/carleson/ never run,
+and which of their parameters only ever take their default.
 
     PYTHONPATH=src python tests/census.py [extra pytest arguments]
 
 runs tests/test_acceptance.py and tests/test_golden.py in this process
 under sys.setprofile (and threading.setprofile, for the worker pools),
 records the code object of every Python call, then prints each `def` of
-the package, in file order, whose code never started.  Extra arguments
-go to pytest, for example
+the package, in file order, whose code never started.  The same hook
+compares, at each call, every parameter that has a default with that
+default, and a second list names the parameters of module functions and
+methods that never received another value.  Dataclass constructors are
+left out (their fields are configuration keys or spec fields that
+command-line flags set), and so are generator functions, whose resumed
+frames no longer hold the arguments.  Extra arguments go to pytest, for
+example
 
     --deselect tests/test_acceptance.py::test_criterion_04_approximation_sweep
 
@@ -17,6 +24,8 @@ not collect this file: its name has no test_ prefix.
 """
 
 import ast
+import importlib
+import inspect
 import sys
 import threading
 from pathlib import Path
@@ -51,12 +60,51 @@ def definitions(path: Path) -> dict[int, str]:
     return out
 
 
+def defaulted_parameters(path: Path) -> dict:
+    """Code object -> (line, qualified name, {parameter: default}) for
+    each function and method written in the file that has a parameter
+    with a default; lru_cache wrappers are looked through."""
+    module = importlib.import_module(f"{carleson.__name__}.{path.stem}")
+    out = {}
+    for obj in vars(module).values():
+        for f in vars(obj).values() if inspect.isclass(obj) else (obj,):
+            f = inspect.unwrap(getattr(f, "__func__", f))
+            if (not inspect.isfunction(f)
+                    or Path(f.__code__.co_filename).resolve() != path
+                    or inspect.isgeneratorfunction(f)):
+                continue
+            defaults = {name: p.default
+                        for name, p in inspect.signature(f).parameters.items()
+                        if p.default is not p.empty}
+            if defaults:
+                out[f.__code__] = (f.__code__.co_firstlineno,
+                                   f.__qualname__, defaults)
+    return out
+
+
+def _is_default(value, default) -> bool:
+    """Defaults are scalars or None, so == is a plain comparison once
+    the types match."""
+    return value is default or (type(value) is type(default)
+                                and value == default)
+
+
 def main(extra: list[str]) -> int:
     seen = set()
+    params = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        params.update(defaulted_parameters(path))
+    moved = {code: set() for code in params}
 
     def hook(frame, event, arg):
         if event == "call":
-            seen.add(frame.f_code)
+            code = frame.f_code
+            seen.add(code)
+            if code in params:
+                args = frame.f_locals
+                for name, default in params[code][2].items():
+                    if not _is_default(args[name], default):
+                        moved[code].add(name)
 
     threading.setprofile(hook)
     sys.setprofile(hook)
@@ -83,6 +131,16 @@ def main(extra: list[str]) -> int:
     print(f"\n{len(missing)} of {total} definitions in {PACKAGE} never ran:")
     for row in missing:
         print(f"  {row}")
+    fixed = sorted(
+        (Path(code.co_filename).name, line, f"{qualname}({name})")
+        for code, (line, qualname, defaults) in params.items()
+        for name in defaults if name not in moved[code]
+    )
+    count = sum(map(len, (d for _, _, d in params.values())))
+    print(f"\n{len(fixed)} of {count} defaulted parameters only ever took "
+          f"their default:")
+    for file, line, label in fixed:
+        print(f"  {file}:{line}  {label}")
     return 0
 
 

@@ -3,6 +3,7 @@ parallel map, and end-to-end runs of every command-line entry point
 with its documented exit codes.
 """
 
+import csv
 import json
 import math
 import tracemalloc
@@ -182,6 +183,19 @@ def test_cmd_approx_empty_sweep(tmp_path):
     assert code == 0
     assert (out / "approx_sweep.csv").read_text().splitlines() == [
         "j,q,sample,delta,abs_err,bound_ratio"]
+
+
+def test_cmd_approx_delta_is_the_ratio_denominator(tmp_path):
+    # every row's bound_ratio is abs_err / (q * delta) for the delta the
+    # row reports, to the bit
+    code, out = run_cli(tmp_path, "approx", j_lo=6, j_hi=7, samples=5)
+    assert code == 0
+    with open(out / "approx_sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 80
+    for row in rows:
+        assert float(row["bound_ratio"]) == float(row["abs_err"]) / (
+            int(row["q"]) * float(row["delta"])), row
 
 
 def test_cmd_phi(tmp_path):

@@ -65,7 +65,7 @@ def test_methods_agree():
 
 def test_budget():
     with pytest.raises(BudgetExceededError):
-        complete_weyl_sum(ArcPair(1, (0, 0), 997), 1, budget=10**5)
+        complete_weyl_sum(ArcPair(1, (0, 0, 0), 1009), 1)  # 1009^3 > 10^9
 
 
 def test_gauss_magnitude_odd_primes():

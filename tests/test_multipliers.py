@@ -4,6 +4,7 @@ factorization identity with its designed failure mode.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,10 +23,10 @@ from carleson.multipliers import (
     lsj_terms,
     m_lattice,
     make_cutoffs,
-    script_L,
     script_L_sharp,
     sharp_terms,
     _inside,
+    _script_terms,
     _wrap,
     _wrap_vec,
 )
@@ -50,7 +51,7 @@ PARAMS = ArcParams(eps1=0.25, eps2=0.3, d=1, n=1)
 def oracle_m(fam, lam, xi, j):
     """Literal float-phase sum over the piece support, accumulated in
     reversed point order so agreement is independent of summation order."""
-    pts, vals, nvals = lattice_arrays(fam, j, 10**8)
+    pts, vals, nvals = lattice_arrays(fam, j)
     ph = lam * np.array([float(t) for t in nvals])
     for k in range(fam.n):
         ph = ph + float(np.atleast_1d(xi)[k]) * pts[:, k]
@@ -92,7 +93,7 @@ def test_m_grid_matches_pointwise():
     # kernel folded onto [N]; N >= 2^(j+3) leaves no wraparound
     fam = make_kernel("sign", 1, 1)
     lam, N = 21.0 / 64.0, 128
-    pts, vals, nvals = lattice_arrays(fam, 4, 10**8)
+    pts, vals, nvals = lattice_arrays(fam, 4)
     folded = np.zeros(N, dtype=np.complex128)
     folded[pts[:, 0] % N] = vals * np.exp(2j * np.pi * lam * nvals)
     grid = N * np.fft.ifft(folded)
@@ -125,7 +126,7 @@ def test_m_lattice_parity_in_xi(fam, sign):
 
 def test_approx_error_tiny_at_exact_center():
     fam = make_kernel("sign", 1, 1)
-    err, ratio = approx_error(fam, 6, ArcPair(0, (0,), 1), 0.0, 0.0, QUAD)
+    err, ratio, _ = approx_error(fam, 6, ArcPair(0, (0,), 1), 0.0, 0.0, QUAD)
     assert abs(err) < 1e-13 and ratio < 1e-12
 
 
@@ -137,7 +138,7 @@ def test_approx_bound_ratio_stays_bounded():
         for _ in range(5):
             lam = pair.a / pair.q + rng.uniform(-0.9, 0.9) * 2.0 ** (-j)
             xi = pair.b[0] / pair.q + rng.uniform(-0.45, 0.45)
-            _, ratio = approx_error(fam, j, pair, lam, xi, QUAD)
+            _, ratio, _ = approx_error(fam, j, pair, lam, xi, QUAD)
             assert ratio < 10.0
 
 
@@ -267,6 +268,14 @@ def test_bsharp_set_matches_brute(s, n):
     assert set(got) == set(want)
 
 
+def script_L(s, alpha, m, xi, cut, d, n) -> complex:
+    """script_L[m](xi): the sum over the terms of _script_terms."""
+    total = 0.0 + 0.0j
+    for off, s_val, chi_val in _script_terms(s, alpha, xi, cut, d, n):
+        total += s_val * m(off) * chi_val
+    return total
+
+
 def test_script_L_hand_values():
     cut = make_cutoffs(1, 1)
     m15 = lambda off: 1.5 + 0.0j
@@ -274,8 +283,10 @@ def test_script_L_hand_values():
     assert script_L(1, ReducedRational(0, 1), m15, 0.0, cut, 1, 1) == 1.5 + 0.0j
     # enumerated block: prime denominator, exact center
     want = complete_weyl_sum(ArcPair(1, (3,), 17), 1).value * 1.5
-    assert abs(script_L(5, ReducedRational(1, 17), m15, 3.0 / 17.0,
-                        cut, 1, 1) - want) < 1e-15
+    got = script_L(5, ReducedRational(1, 17), m15, 3.0 / 17.0, cut, 1, 1)
+    assert abs(got - want) < 1e-15
+    assert got == script_L_scalar(5, ReducedRational(1, 17), m15, 3.0 / 17.0,
+                                  cut, 1, 1)
     # levels beyond the enumeration cap are refused
     with pytest.raises(ValueError):
         script_L(7, ReducedRational(1, 64), m15, 5.0 / 64.0, cut, 1, 1)
@@ -411,6 +422,18 @@ def test_arc_scans_refuse_non_finite_xi(bad):
         sharp_terms(1, m15, bad, cut, 1)
     with pytest.raises(ValueError, match="finite"):
         script_L(1, ReducedRational(0, 1), m15, bad, cut, 1, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("xi", [0.0, 0.3])
+def test_lsj_terms_refuses_non_finite_lam(bad, xi):
+    # xi = 0 keeps the q = 1 row through the array screen, xi = 0.3
+    # keeps none; either way the refusal comes first, with no warning
+    fam, cut = make_kernel("sign", 1, 1), make_cutoffs(1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            lsj_terms(fam, 1, 8, bad, xi, PARAMS, cut, QUAD)
 
 
 def test_factorization_residual_matches_two_script_L_walks():

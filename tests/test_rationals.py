@@ -3,6 +3,7 @@ X_j, and denominator blocks.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_arc_pair_canonical():
 def test_farey_count_and_order(Q):
     fs = farey_set(Q)
     assert len(fs) == brute_farey_count(Q)
-    vals = [f.as_fraction() for f in fs]
+    vals = [Fraction(f.num, f.den) for f in fs]
     assert vals == sorted(vals)
     assert len(set(vals)) == len(vals)
     assert all(0 <= f.num < f.den for f in fs)

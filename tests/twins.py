@@ -2,10 +2,10 @@
 arc-term scans.
 
 operators.kappa_table tabulates both closed forms over a whole box of
-shifts at once, and multipliers.lsj_terms, script_L and sharp_terms
-screen their whole candidate table with one array expression; the
-functions here evaluate them one shift or one candidate at a time,
-straight from the definitions, so tests can compare the two.
+shifts at once, and multipliers.lsj_terms, _script_terms and
+sharp_terms screen their whole candidate table with one array
+expression; the functions here evaluate them one shift or one candidate
+at a time, straight from the definitions, so tests can compare the two.
 """
 
 import math
@@ -148,7 +148,8 @@ def lsj_terms_scalar(fam, s, j, lam, xi, params, cut, quad) -> list[dict]:
 
 
 def script_L_scalar(s, alpha, m, xi, cut, d, n) -> complex:
-    """multipliers.script_L with the cutoff evaluated per (q, b)."""
+    """script_L[m](xi), the sum over multipliers._script_terms, with the
+    cutoff evaluated per (q, b)."""
     if not 1 <= s <= enum_cap(n):
         raise ValueError(f"need 1 <= s <= {enum_cap(n)} for n = {n}, got {s}")
     xi = _as_xi(xi, n)
